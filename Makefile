@@ -3,7 +3,7 @@
 .PHONY: install lint lint-custom lint-mypy lint-ruff test test-all conform \
 	conform-paper conform-update coverage \
 	bench bench-core bench-parallel bench-stream bench-serve bench-cdn \
-	bench-summary experiments figures \
+	bench-summary perfbench experiments figures \
 	examples all
 
 install:
@@ -112,6 +112,19 @@ bench-serve:
 # plus the single-simulation hot path, recorded to BENCH_cdn.json.
 bench-cdn:
 	PYTHONPATH=src python benchmarks/bench_cdn.py --out BENCH_cdn.json
+
+# The repo benchmark declared in BENCHMARK.json: one run of each
+# workload, printing its metrics as the last line (a JSON object).
+# Override the inputs' seed, the run length or tracing, e.g.
+#   make perfbench SEED=9200 RUN_SECONDS=45 TRACE=1
+SEED ?= 1
+RUN_SECONDS ?= 45
+TRACE ?= 0
+perfbench:
+	for workload in text-log rtb-log; do \
+		python3 perfbench/run.py --workload $$workload --seed $(SEED) \
+			--seconds $(RUN_SECONDS) --trace $(TRACE) || exit 1; \
+	done
 
 experiments:
 	PYTHONPATH=src python -m repro experiments

@@ -19,6 +19,7 @@ the report is bit-identical for any ``jobs`` count.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -170,9 +171,20 @@ def sweep_configs(edge_counts: tuple[int, ...],
                  for bw in sorted(bws, key=lambda b: (b is not None, b)))
 
 
-@lru_cache(maxsize=1)
 def _load_trace(path: str) -> Trace:
-    """Per-process trace cache: each worker reads the .npz once."""
+    """Per-process trace cache: each worker reads the .npz once.
+
+    Keyed on the file's identity, not its path alone, so a trace
+    rewritten in place is read again — also by forked workers, which
+    inherit the parent's cache.
+    """
+    stat = os.stat(path)
+    return _load_trace_version(path, stat.st_mtime_ns, stat.st_size)
+
+
+@lru_cache(maxsize=1)
+def _load_trace_version(path: str, mtime_ns: int, size: int) -> Trace:
+    """Load ``path``; ``mtime_ns`` and ``size`` only key the cache."""
     return Trace.load_npz(path)
 
 

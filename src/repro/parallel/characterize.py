@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from .._typing import FloatArray
 from ..errors import LogParseError
 from ..trace.codecs import ENTRY_COLUMNS, _DTYPE_SIZES, BinaryTraceReader, detect_codec
@@ -194,21 +192,21 @@ def consume_chunk(characterizer: StreamingCharacterizer,
     binary chunks materialize each covered segment's columns from the
     memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
-    path — no row dicts, no per-line Python.
+    path against the file's declared client table — no row dicts, no
+    per-line Python.
+
+    Raises
+    ------
+    TraceError
+        If a binary entry names a client no client block declares.
     """
     if chunk.codec == "binary":
         parsed = 0
         with BinaryTraceReader(chunk.path) as reader:
-            identities = reader.client_identity_map()
-            players = np.asarray(
-                [identities.get(i, ("", "", ""))[1]
-                 for i in range((max(identities) + 1) if identities else 0)],
-                dtype=np.str_)
+            clients = reader.client_columns()
             for index in chunk.segments:
-                columns = reader.segment_columns(index)
-                client = np.asarray(columns["client_index"], dtype=np.int64)
                 parsed += characterizer.consume_columns(
-                    columns, players[client])
+                    reader.segment_columns(index), clients)
         return parsed
     with open(chunk.path, "rb") as stream:
         stream.seek(chunk.byte_lo)
@@ -258,6 +256,12 @@ def characterize_logs(paths: str | Path | Sequence[str | Path], *,
         :class:`~repro.trace.streaming.StreamingCharacterizer`).
     chunk_bytes:
         Target chunk size for splitting files.
+
+    Raises
+    ------
+    TraceError
+        If a binary trace is corrupt, including an entry that names a
+        client no client block declares.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
@@ -267,9 +271,11 @@ def characterize_logs(paths: str | Path | Sequence[str | Path], *,
                                bandwidth_edges=bandwidth_edges)
     parts = map_ordered(worker, chunks, jobs=jobs, label="chunk")
     t0 = time.perf_counter()
-    total = StreamingCharacterizer(diurnal_bins=diurnal_bins,
-                                   bandwidth_edges=bandwidth_edges)
-    for part in parts:
+    # Reduce into the first part: merging it into an empty accumulator
+    # would only copy it (0.0 + bits == bits, so no float changes).
+    total = parts[0] if parts else StreamingCharacterizer(
+        diurnal_bins=diurnal_bins, bandwidth_edges=bandwidth_edges)
+    for part in parts[1:]:
         total.merge(part)
     logger.info("reduced %d chunk accumulator(s) in %.3fs",
                 len(parts), time.perf_counter() - t0)

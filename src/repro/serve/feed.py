@@ -42,9 +42,9 @@ from typing import Any, Callable
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import ProtocolError, ReproError
+from ..errors import ProtocolError, ReproError, TraceError
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
-from ..trace.codecs import decode_entry_columns
+from ..trace.codecs import ClientColumns, decode_entry_columns
 from ..trace.streaming import StreamingCharacterizer, _OnlineLogMoments
 from ..trace.wms_log import LOG_FIELDS, _REPLACEMENT, _URI_PREFIX, _parse_fields_header
 from ..units import DEFAULT_SESSION_TIMEOUT
@@ -121,7 +121,7 @@ class FeedWorker:
         self._player_index: dict[str, int] = {}
         # Binary-mode machinery.
         self._identities: dict[int, tuple[str, str, str]] = {}
-        self._players_cache: np.ndarray[Any, np.dtype[Any]] | None = None
+        self._table: ClientColumns | None = None
 
         # Reorder buffer (arrival order preserved across chunks).
         self._pend: list[tuple[IntArray, FloatArray, FloatArray]] = []
@@ -331,7 +331,7 @@ class FeedWorker:
                 raise ProtocolError(
                     f"negative client index {index} in CLIENTS frame")
             self._identities[int(index)] = (ip, player, os_name)
-        self._players_cache = None
+        self._table = None
         # Identity frames are idempotent and re-sent on reconnect, so
         # they do not advance the resume cursor (frames_ingested).
         self.clients_frames += 1
@@ -353,14 +353,10 @@ class FeedWorker:
         self.frames_ingested += 1
         if n == 0:
             return 0
-        if int(client.min()) < 0:
-            raise ProtocolError("negative client index in ENTRIES frame")
-        players = self._players_array()
-        if int(client.max()) >= players.size:
-            raise ProtocolError(
-                f"entry references client {int(client.max())} but only "
-                f"{players.size} identities were declared")
-        self.characterizer.consume_columns(columns, players[client])
+        try:
+            self.characterizer.consume_columns(columns, self._client_table())
+        except TraceError as exc:
+            raise ProtocolError(str(exc)) from None
         self.entries_ingested += n
         self._ensure_capacity(int(client.max()) + 1)
         self._enqueue_reorder(
@@ -369,17 +365,21 @@ class FeedWorker:
             np.asarray(columns["duration"], dtype=np.float64))
         return n
 
-    def _players_array(self) -> np.ndarray[Any, np.dtype[Any]]:
-        if self._players_cache is None:
+    def _client_table(self) -> ClientColumns:
+        if self._table is None:
             if not self._identities:
                 raise ProtocolError(
                     "ENTRIES frame before any CLIENTS frame on feed "
                     f"{self.name!r}")
-            size = max(self._identities) + 1
-            self._players_cache = np.asarray(
-                [self._identities.get(k, ("", "", ""))[1]
-                 for k in range(size)], dtype=np.str_)
-        return self._players_cache
+            items = sorted(self._identities.items())
+            self._table = ClientColumns(
+                index=np.asarray([index for index, _ in items],
+                                 dtype=np.int64),
+                player_ids=np.asarray(
+                    [identity[1].encode("utf-8") for _, identity in items],
+                    dtype=np.bytes_),
+                source=f"feed {self.name!r}")
+        return self._table
 
     def _enter_mode(self, mode: str) -> bool:
         if self._mode is None:
@@ -671,5 +671,5 @@ class FeedWorker:
             self._identities[int(index)] = (
                 str(arrays["ident_ip"][k]), str(arrays["ident_player"][k]),
                 str(arrays["ident_os"][k]))
-        self._players_cache = None
+        self._table = None
         self._session_parts = []

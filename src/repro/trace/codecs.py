@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import abc
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, ClassVar, Iterator, Mapping, Sequence
 
@@ -91,6 +92,9 @@ _NARROW_DTYPES: tuple[tuple[str, int], ...] = (
     ("u1", 1 << 8), ("u2", 1 << 16), ("u4", 1 << 32))
 
 _DTYPE_SIZES: dict[str, int] = {"u1": 1, "u2": 2, "u4": 4, "u8": 8}
+
+#: Shape/dtype-generic array (memory-map views, fixed-width bytes).
+_AnyArray = np.ndarray[Any, np.dtype[Any]]
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +210,95 @@ def _narrow_code(span: int) -> str:
         if span < limit:
             return code
     return "u8"
+
+
+def _decode_strings(raw: _AnyArray, source: str, column: str) -> list[str]:
+    """UTF-8 decode a fixed-width bytes array (NUL padding dropped)."""
+    try:
+        return [value.decode("utf-8") for value in raw.tolist()]
+    except UnicodeDecodeError as exc:
+        raise TraceError(
+            f"{source}: client {column} are not UTF-8: {exc}") from None
+
+
+@dataclass(frozen=True)
+class ClientColumns:
+    """A declared client table as sorted columns.
+
+    What :meth:`BinaryTraceReader.client_columns` returns, and what
+    :meth:`repro.trace.streaming.StreamingCharacterizer.consume_columns`
+    resolves an entry's ``client_index`` against.
+
+    Attributes
+    ----------
+    index:
+        Every declared client index, ascending and unique (``int64``).
+    player_ids:
+        UTF-8 player IDs aligned with ``index`` (fixed-width bytes).
+    ips, os_names:
+        Aligned like ``player_ids``; ``None`` unless requested.
+    source:
+        Where the table came from, for error messages.
+    """
+
+    index: IntArray
+    player_ids: _AnyArray
+    ips: _AnyArray | None = None
+    os_names: _AnyArray | None = None
+    source: str = "client table"
+
+    def __len__(self) -> int:
+        return int(self.index.size)
+
+    def positions(self, client_index: IntArray) -> IntArray:
+        """The table position of every entry's client.
+
+        Allocates only arrays the size of ``client_index``, whatever the
+        index values are.
+
+        Raises
+        ------
+        TraceError
+            If an entry names a client index the table does not declare.
+        """
+        client = np.asarray(client_index, dtype=np.int64)
+        position = np.searchsorted(self.index, client).astype(
+            np.int64, copy=False)
+        if client.size:
+            size = int(self.index.size)
+            missing = (np.ones(client.size, dtype=bool) if size == 0 else
+                       self.index[np.minimum(position, size - 1)] != client)
+            if np.any(missing):
+                raise TraceError(
+                    f"{self.source}: entry references client "
+                    f"{int(client[np.argmax(missing)])} absent from every "
+                    "client block")
+        return position
+
+    def players(self, positions: IntArray) -> list[str]:
+        """The player IDs at table ``positions``, decoded."""
+        return _decode_strings(self.player_ids[positions], self.source,
+                               "player IDs")
+
+    def identities(self, positions: IntArray | None = None
+                   ) -> tuple[list[str], list[str], list[str]]:
+        """Decoded ``(ips, player_ids, os_names)`` at table ``positions``
+        (default: the whole table, in order).
+
+        Raises
+        ------
+        TraceError
+            If the table was read without identities.
+        """
+        if self.ips is None or self.os_names is None:
+            raise TraceError(f"{self.source}: client table was read "
+                             "without IPs and OS names")
+        pick = slice(None) if positions is None else positions
+        return (_decode_strings(self.ips[pick], self.source, "IPs"),
+                _decode_strings(self.player_ids[pick], self.source,
+                                "player IDs"),
+                _decode_strings(self.os_names[pick], self.source,
+                                "OS names"))
 
 
 # ----------------------------------------------------------------------
@@ -482,27 +575,80 @@ class BinaryTraceReader:
                 for name in ENTRY_COLUMNS}
 
     # -- client identities ---------------------------------------------
-    def _read_strings(self, desc: Mapping[str, Any], n: int) -> list[str]:
-        itemsize = int(desc["itemsize"])
-        offset = int(desc["offset"])
-        raw = self._map[offset:offset + n * itemsize]
-        return [b.decode("utf-8")
-                for b in raw.view(np.dtype(f"S{itemsize}")).tolist()]
+    def _block_view(self, start: int, n: int, dtype: np.dtype[Any],
+                    where: str) -> _AnyArray:
+        """``n`` items of ``dtype`` at ``start``, as a view of the map."""
+        end = start + n * dtype.itemsize
+        if start < 0 or end > self._map.size:
+            raise TraceError(f"{self._path}: {where} extends past end of file")
+        return self._map[start:end].view(dtype)
+
+    def client_columns(self, *, identities: bool = False) -> ClientColumns:
+        """Every declared client, as columns sorted by client index.
+
+        Each client block's index array and player-ID strings are read as
+        views of the memory map, with no per-client Python; the IPs and
+        OS names are read only when ``identities`` is true.  This is the
+        one place client blocks are parsed.
+
+        Raises
+        ------
+        TraceError
+            If a block lies outside the file or its descriptor is
+            malformed, or if an index is negative or declared twice.
+        """
+        keys = ("player_ids", "ips", "os_names") if identities else (
+            "player_ids",)
+        indices: list[_AnyArray] = []
+        strings: dict[str, list[_AnyArray]] = {key: [] for key in keys}
+        for number, block in enumerate(self._footer["clients"]):
+            where = f"client block {number}"
+            try:
+                n = int(block["n"])
+                itemsizes = {key: int(block[key]["itemsize"]) for key in keys}
+                offsets = {key: int(block[key]["offset"]) for key in keys}
+                index_offset = int(block["index_offset"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TraceError(
+                    f"{self._path}: {where} descriptor is malformed: "
+                    f"{exc!r}") from None
+            # Bounded by the file (and numpy's 2**31 - 1) before a dtype
+            # is built, so a corrupt width is a TraceError.
+            if n < 0 or not all(1 <= size <= min(self._map.size, 2**31 - 1)
+                                for size in itemsizes.values()):
+                raise TraceError(f"{self._path}: {where} has a bad size")
+            indices.append(self._block_view(
+                index_offset, n, np.dtype("<i8"), f"{where} index"))
+            for key in keys:
+                strings[key].append(self._block_view(
+                    offsets[key], n, np.dtype(f"S{itemsizes[key]}"),
+                    f"{where} {key}"))
+        index = (np.concatenate(indices).astype(np.int64, copy=False)
+                 if indices else np.empty(0, dtype=np.int64))
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        if index.size and int(index[0]) < 0:
+            raise TraceError(
+                f"{self._path}: client block declares negative client "
+                f"index {int(index[0])}")
+        twice = np.flatnonzero(index[1:] == index[:-1])
+        if twice.size:
+            raise TraceError(
+                f"{self._path}: client {int(index[twice[0]])} is declared "
+                "in more than one client block")
+        columns = {key: (np.concatenate(parts)[order] if parts
+                         else np.empty(0, dtype=np.bytes_))
+                   for key, parts in strings.items()}
+        return ClientColumns(index=index, player_ids=columns["player_ids"],
+                             ips=columns.get("ips"),
+                             os_names=columns.get("os_names"),
+                             source=str(self._path))
 
     def client_identity_map(self) -> dict[int, tuple[str, str, str]]:
         """``original client index -> (ip, player_id, os_name)``."""
-        identities: dict[int, tuple[str, str, str]] = {}
-        for block in self._footer["clients"]:
-            n = int(block["n"])
-            index_offset = int(block["index_offset"])
-            indices = self._map[index_offset:index_offset + n * 8].view(
-                np.dtype("<i8"))
-            ips = self._read_strings(block["ips"], n)
-            players = self._read_strings(block["player_ids"], n)
-            os_names = self._read_strings(block["os_names"], n)
-            for k, index in enumerate(indices.tolist()):
-                identities[int(index)] = (ips[k], players[k], os_names[k])
-        return identities
+        table = self.client_columns(identities=True)
+        return dict(zip(table.index.tolist(),
+                        zip(*table.identities(), strict=True), strict=True))
 
     def identity_lookup(self) -> ClientIdentity:
         """The identity map as a callable (for entry formatting)."""
@@ -598,7 +744,7 @@ def read_binary_trace(path: str | Path, *,
     """
     with BinaryTraceReader(path) as reader:
         quantized = reader.all_quantized()
-        identities = reader.client_identity_map()
+        table = reader.client_columns(identities=True)
 
     original = quantized["client_index"]
     unique, first_pos, inverse = np.unique(
@@ -608,25 +754,15 @@ def read_binary_trace(path: str | Path, *,
     rank[appearance] = np.arange(appearance.size, dtype=np.int64)
     dense = rank[inverse] if original.size else np.empty(0, dtype=np.int64)
 
-    ips: list[str] = []
-    players: list[str] = []
-    os_names: list[str] = []
-    as_numbers: list[int] = []
-    countries: list[str] = []
-    for index in unique[appearance].tolist():
-        try:
-            ip, player_id, os_name = identities[int(index)]
-        except KeyError:
-            raise TraceError(
-                f"{path}: entry references client {index} absent from "
-                "every client block") from None
-        ips.append(ip)
-        players.append(player_id)
-        os_names.append(os_name)
-        as_number, country = (resolver(ip) if resolver is not None
-                              else (0, ""))
-        as_numbers.append(as_number)
-        countries.append(country)
+    ips, players, os_names = table.identities(
+        table.positions(unique[appearance]))
+    if resolver is None:
+        as_numbers = [0] * len(ips)
+        countries = [""] * len(ips)
+    else:
+        resolved = [resolver(ip) for ip in ips]
+        as_numbers = [as_number for as_number, _ in resolved]
+        countries = [country for _, country in resolved]
 
     decoded = decode_entry_columns(quantized)
     clients = ClientTable(player_ids=players, ips=ips,

@@ -32,10 +32,11 @@ reduce without changing any reported statistic.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Mapping, TextIO
 
 import numpy as np
 from bisect import bisect_right
@@ -46,6 +47,7 @@ from .._typing import FloatArray
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
 from ..errors import LogParseError
 from ..units import DAY
+from .codecs import ClientColumns
 from .wms_log import _REPLACEMENT, _URI_PREFIX, _parse_fields_header, iter_log_lines
 
 #: Default log-spaced bandwidth histogram edges (bits/second).
@@ -162,6 +164,10 @@ class StreamingCharacterizer:
         self._n_skipped = 0
         self._congested = 0
         self._client_counts: dict[str, int] = {}
+        # Binary ingest counts clients by position in the current
+        # declared table; _fold_clients moves them into _client_counts.
+        self._table: ClientColumns | None = None
+        self._table_counts = np.zeros(0, dtype=np.int64)
         self._feed_counts: dict[int, int] = {}
         self._edges = (DEFAULT_BANDWIDTH_EDGES if bandwidth_edges is None
                        else np.asarray(bandwidth_edges, dtype=np.float64))
@@ -225,21 +231,31 @@ class StreamingCharacterizer:
         return parsed
 
     def consume_columns(self, columns: Mapping[str, _AnyArray],
-                        players: Sequence[str] | _AnyArray) -> int:
+                        clients: ClientColumns) -> int:
         """Consume one decoded binary segment as column arrays.
 
         The vectorized counterpart of :meth:`consume_lines` for the
         binary codec: ``columns`` is one segment's decoded trace-domain
         columns (see
         :meth:`repro.trace.codecs.BinaryTraceReader.segment_columns`)
-        and ``players`` the per-entry player-ID strings (the caller maps
-        ``client_index`` through the file's client blocks).  Every
-        accumulator update reproduces the per-line path exactly — the
-        decoded doubles are bit-identical to the parsed text fields, so
-        histogram binning and the diurnal fold agree entry for entry;
+        and ``clients`` the declared client table its ``client_index``
+        column refers to (see
+        :meth:`repro.trace.codecs.BinaryTraceReader.client_columns`).
+        Clients are counted by table position in an ``int64`` array and
+        folded into the player-ID counts once per table, not per entry.
+        Every accumulator update reproduces the per-line path exactly —
+        the decoded doubles are bit-identical to the parsed text fields,
+        so histogram binning and the diurnal fold agree entry for entry;
         only the ``bytes_served`` float accumulation order differs.
         Returns the number of entries consumed.
+
+        Raises
+        ------
+        TraceError
+            If an entry names a client the table does not declare; the
+            segment is then not consumed.
         """
+        position = clients.positions(columns["client_index"])
         duration = np.maximum(
             np.asarray(columns["duration"], dtype=np.float64), 0.0)
         bandwidth = np.asarray(columns["bandwidth_bps"], dtype=np.float64)
@@ -257,13 +273,11 @@ class StreamingCharacterizer:
             self._log_length.counts[value] = (
                 self._log_length.counts.get(value, 0) + count)
         self._bits += float(np.dot(duration, np.maximum(bandwidth, 0.0)))
-        for player, count in zip(*(arr.tolist() for arr in
-                                   np.unique(np.asarray(players,
-                                                        dtype=np.str_),
-                                             return_counts=True)),
-                                 strict=True):
-            self._client_counts[player] = (
-                self._client_counts.get(player, 0) + count)
+        if clients is not self._table:
+            self._fold_clients()
+            self._table = clients
+            self._table_counts = np.zeros(len(clients), dtype=np.int64)
+        self._table_counts += np.bincount(position, minlength=len(clients))
         for value, count in zip(*(arr.tolist() for arr in
                                   np.unique(feed, return_counts=True)),
                                 strict=True):
@@ -286,6 +300,25 @@ class StreamingCharacterizer:
         self._diurnal += np.bincount(
             diurnal_idx, minlength=self._diurnal.size).astype(np.float64)
         return n
+
+    def _fold_clients(self) -> None:
+        """Fold the per-position client counts into ``_client_counts``."""
+        if self._table is None:
+            return
+        counts = self._table_counts
+        nonzero = np.flatnonzero(counts)
+        client_counts = self._client_counts
+        for player, count in zip(self._table.players(nonzero),
+                                 counts[nonzero].tolist(), strict=True):
+            client_counts[player] = client_counts.get(player, 0) + count
+        self._table = None
+        self._table_counts = np.zeros(0, dtype=np.int64)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pool results fold in the worker: that work stays parallel and
+        # the payload carries counts, not the client table.
+        self._fold_clients()
+        return self.__dict__.copy()
 
     def _consume_line(self, line: str, fields: list[str]) -> bool:
         if _REPLACEMENT in line:
@@ -353,6 +386,8 @@ class StreamingCharacterizer:
             raise ValueError("cannot merge: bandwidth_edges differ")
         if self._diurnal.size != other._diurnal.size:
             raise ValueError("cannot merge: diurnal_bins differ")
+        self._fold_clients()
+        other._fold_clients()
         self._log_length.merge(other._log_length)
         self._bits += other._bits
         self._n_entries += other._n_entries
@@ -380,6 +415,7 @@ class StreamingCharacterizer:
         with *bit-identical* future summaries — the contract behind
         ``repro characterize --checkpoint/--resume``.
         """
+        self._fold_clients()
         return {
             "length_counts": {str(display): count for display, count
                               in self._log_length.counts.items()},
@@ -427,8 +463,10 @@ class StreamingCharacterizer:
     # ------------------------------------------------------------------
     def summary(self, *, top_k: int = 10) -> StreamingSummary:
         """Snapshot the running statistics (cheap; call any time)."""
-        top = sorted(self._client_counts.items(),
-                     key=lambda item: (-item[1], item[0]))[:top_k]
+        self._fold_clients()
+        # Player IDs are unique keys, so this equals a full sort's head.
+        top = heapq.nsmallest(top_k, self._client_counts.items(),
+                              key=lambda item: (-item[1], item[0]))
         congested_fraction = (self._congested / self._n_entries
                               if self._n_entries else 0.0)
         length_log_mu, length_log_sigma = self._log_length.moments()
@@ -449,4 +487,5 @@ class StreamingCharacterizer:
 
     def client_counts(self) -> dict[str, int]:
         """The full per-client transfer counts (the interest profile)."""
+        self._fold_clients()
         return dict(self._client_counts)

@@ -2,26 +2,37 @@
 
 The contract under test: for *any* trace, the text log and the columnar
 binary file are two encodings of one artifact — decoding either yields
-bit-identical traces, and re-formatting the binary entry stream through
-the text formatter reproduces the text log's data lines byte for byte.
+bit-identical traces, re-formatting the binary entry stream through
+the text formatter reproduces the text log's data lines byte for byte,
+and characterizing either yields the same summary and client counts.
 """
 
 import io
+import math
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.parallel.characterize import (
+    DEFAULT_CHUNK_BYTES,
+    characterize_logs,
+    consume_chunk,
+    plan_log_chunks,
+)
 from repro.trace.codecs import (
     BinaryTraceReader,
+    BinaryTraceWriter,
     format_quantized_entry,
     read_binary_trace,
     write_binary_trace,
 )
 from repro.trace.store import TRANSFER_COLUMNS, ClientTable, Trace
-from repro.trace.wms_log import read_wms_log, write_wms_log
+from repro.trace.streaming import StreamingCharacterizer
+from repro.trace.wms_log import StreamingWmsLogWriter, read_wms_log, write_wms_log
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -129,3 +140,71 @@ def test_identity_width_round_trip(player, os_name):
     finally:
         os.unlink(path)
     assert identities[0] == ("198.51.100.7", player, os_name)
+
+
+def _sparse_identity(index):
+    return (f"10.{index % 256}.0.1", f"p{index}", "Windows_XP")
+
+
+# Client indices drawn sparsely from a huge range, and batches of
+# transfers over them; each batch flushes as its own segment, so client
+# blocks are split across segments (a client is declared in the block
+# of the first segment that uses it).
+sparse_streams = st.lists(
+    st.integers(min_value=0, max_value=2 ** 45), min_size=1, max_size=8,
+    unique=True).flatmap(lambda ids: st.lists(
+        st.lists(st.tuples(st.sampled_from(ids),                  # client
+                           st.integers(min_value=0, max_value=900),  # start
+                           st.integers(min_value=1, max_value=50),   # dur
+                           st.integers(min_value=1_000, max_value=90_000)),
+                 min_size=1, max_size=12),
+        min_size=1, max_size=5))
+
+
+def _push_batches(writer, batches):
+    offset = 0
+    for k, batch in enumerate(batches):
+        client, start, duration, bandwidth = zip(*batch, strict=True)
+        writer.push(client_index=np.asarray(client, dtype=np.int64),
+                    object_id=np.asarray(client, dtype=np.int64) % 3,
+                    start=k * 1_000.0 + np.asarray(start, dtype=np.float64),
+                    duration=np.asarray(duration, dtype=np.float64),
+                    bandwidth_bps=np.asarray(bandwidth, dtype=np.float64),
+                    global_offset=offset, horizon=(k + 1) * 1_000.0)
+        offset += len(batch)
+    writer.finish()
+
+
+@given(batches=sparse_streams,
+       chunk_bytes=st.sampled_from([1, 96, DEFAULT_CHUNK_BYTES]))
+@settings(max_examples=40, deadline=None)
+def test_sparse_client_indices_characterize_like_text(batches, chunk_bytes):
+    with tempfile.TemporaryDirectory() as root:
+        bin_path = os.path.join(root, "t.rtb")
+        text_path = os.path.join(root, "t.log")
+        with open(bin_path, "wb") as stream:
+            _push_batches(BinaryTraceWriter(stream, _sparse_identity),
+                          batches)
+        with open(text_path, "w", encoding="ascii") as stream:
+            _push_batches(StreamingWmsLogWriter(stream, _sparse_identity),
+                          batches)
+        with BinaryTraceReader(bin_path) as reader:
+            assert reader.n_segments == len(batches)
+            declared = reader.client_columns().index.tolist()
+        got = characterize_logs(bin_path, chunk_bytes=chunk_bytes)
+        want = characterize_logs(text_path)
+        state = StreamingCharacterizer()
+        for chunk in plan_log_chunks([bin_path], chunk_bytes=chunk_bytes):
+            consume_chunk(state, chunk)
+
+    used = sorted({row[0] for batch in batches for row in batch})
+    assert declared == used
+    expected = Counter(f"p{row[0]}" for batch in batches for row in batch)
+    assert state.state_dict()["client_counts"] == dict(expected)
+    for name in ("n_entries", "n_clients", "feed_counts", "top_clients",
+                 "length_log_mu", "length_log_sigma",
+                 "congestion_bound_fraction"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("bandwidth_histogram", "diurnal_counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert math.isclose(got.bytes_served, want.bytes_served, rel_tol=1e-12)

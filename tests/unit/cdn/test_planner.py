@@ -1,6 +1,7 @@
 """Unit tests for repro.cdn.planner: sweep parsing, grid, frontier."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -154,3 +155,27 @@ class TestWorkerTask:
             origin_peak_streams=1)
         assert outcome.meets(0.01)
         assert not outcome.meets(0.0099)
+
+
+class TestTraceCache:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trace_rewritten_in_place_is_reread(self, tmp_path, jobs):
+        model = LiveWorkloadModel.paper_defaults(mean_session_rate=0.02,
+                                                 n_clients=300)
+        path = tmp_path / "trace.npz"
+        first = LiveWorkloadGenerator(model).generate(0.5, seed=31).trace
+        second = LiveWorkloadGenerator(model).generate(0.2, seed=32).trace
+        assert len(first) != len(second)
+
+        first.save_npz(path)
+        # Inline, so this process caches the first trace; forked
+        # workers of the jobs=2 sweep below inherit that cache.
+        before = plan_deployment(str(path), edge_counts=(1,), jobs=1)
+        assert before.outcomes[0].n_requests == len(first)
+
+        stat = path.stat()
+        second.save_npz(path)
+        # A later mtime even on filesystems with coarse timestamps.
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        after = plan_deployment(str(path), edge_counts=(1, 2), jobs=jobs)
+        assert [o.n_requests for o in after.outcomes] == [len(second)] * 2

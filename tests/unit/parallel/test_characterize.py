@@ -6,12 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import LogParseError
+from repro.errors import LogParseError, TraceError
 from repro.parallel.characterize import (
     characterize_chunk,
     characterize_logs,
     plan_log_chunks,
 )
+from repro.stream.characterize import characterize_logs_resumable
+from repro.trace.codecs import BinaryTraceReader, BinaryTraceWriter, write_binary_trace
 from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.wms_log import write_wms_log
 from tests.conftest import build_trace
@@ -121,3 +123,101 @@ class TestCharacterizeLogs:
         messages = [record.message for record in caplog.records]
         assert any("chunk(s)" in message for message in messages)
         assert any("reduced" in message for message in messages)
+
+
+# ----------------------------------------------------------------------
+# .rtb client indices: every entry must name a declared client
+# ----------------------------------------------------------------------
+def _sparse_rtb(path):
+    """A one-segment .rtb whose entries use clients 0, 2 and 4 only, so
+    the client blocks declare exactly those three indices."""
+    trace = build_trace([
+        ((0, 2, 4)[i % 3], i % 2, float(i * 40), 30.0, 50_000.0 + i)
+        for i in range(30)], n_clients=5, extent=5_000.0)
+    write_binary_trace(trace, path)
+    return path
+
+
+def _patch_first_entry_client(path, raw):
+    """Overwrite the stored ``client_index`` of the first entry."""
+    with BinaryTraceReader(path) as reader:
+        [segment] = reader.footer["segments"]
+    column = segment["columns"]["client_index"]
+    assert column["dtype"] == "u1" and column["base"] == 0
+    data = bytearray(path.read_bytes())
+    data[column["offset"]] = raw
+    path.write_bytes(bytes(data))
+
+
+def _write_rtb(path, client_index, identity):
+    n = len(client_index)
+    with open(path, "wb") as stream:
+        writer = BinaryTraceWriter(stream, identity)
+        writer.push(client_index=np.asarray(client_index, dtype=np.int64),
+                    object_id=np.zeros(n, dtype=np.int64),
+                    start=np.arange(n, dtype=np.float64) * 10.0,
+                    duration=np.full(n, 5.0),
+                    bandwidth_bps=np.full(n, 40_000.0),
+                    global_offset=0, horizon=-np.inf)
+        writer.finish()
+
+
+def _resumable(path, tmp_path):
+    return characterize_logs_resumable(
+        path, checkpoint_path=tmp_path / "ck.npz")
+
+
+class TestBinaryClientIndex:
+    @pytest.mark.parametrize("raw", [1, 3], ids=["gap", "gap-high"])
+    @pytest.mark.parametrize("run", ["jobs1", "jobs2", "resumable"])
+    def test_undeclared_index_below_max_is_trace_error(self, tmp_path, raw,
+                                                       run):
+        # Parent behaviour: counted under the player "" with no error.
+        path = _sparse_rtb(tmp_path / "t.rtb")
+        _patch_first_entry_client(path, raw)
+        with pytest.raises(TraceError, match=f"client {raw} absent"):
+            if run == "resumable":
+                _resumable(path, tmp_path)
+            else:
+                characterize_logs(path, jobs=int(run[-1]))
+
+    @pytest.mark.parametrize("run", ["jobs1", "jobs2", "resumable"])
+    def test_index_past_the_table_is_trace_error(self, tmp_path, run):
+        # Parent behaviour: a bare IndexError.
+        path = _sparse_rtb(tmp_path / "t.rtb")
+        _patch_first_entry_client(path, 200)
+        with pytest.raises(TraceError, match="client 200 absent"):
+            if run == "resumable":
+                _resumable(path, tmp_path)
+            else:
+                characterize_logs(path, jobs=int(run[-1]))
+
+    def test_huge_declared_index_allocates_by_declared_count(self, tmp_path):
+        huge = 2 ** 40
+        clients = [huge, 3, huge, 0, huge, 3]
+        path = tmp_path / "huge.rtb"
+        _write_rtb(path, clients,
+                   lambda i: (f"10.0.0.{i % 256}", f"p{i}", "Windows"))
+        with BinaryTraceReader(path) as reader:
+            table = reader.client_columns()
+        assert table.index.tolist() == [0, 3, huge]
+        summary = characterize_logs(path)
+        assert summary.n_clients == 3
+        assert summary.top_clients == ((f"p{huge}", 3), ("p3", 2),
+                                       ("p0", 1))
+
+    def test_block_patched_to_huge_index_is_trace_error(self, tmp_path):
+        path = _sparse_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            [block] = reader.footer["clients"]
+            order = reader.client_columns().index.tolist()
+        assert order == [0, 2, 4]
+        data = bytearray(path.read_bytes())
+        # Redeclare the block's first client (index 0) as 2**40.
+        offset = block["index_offset"]
+        data[offset:offset + 8] = (2 ** 40).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with BinaryTraceReader(path) as reader:
+            assert reader.client_columns().index.tolist() == [2, 4, 2 ** 40]
+        with pytest.raises(TraceError, match="client 0 absent"):
+            characterize_logs(path)

@@ -161,6 +161,41 @@ def test_entries_referencing_undeclared_client_is_protocol_error():
         worker.ingest_entries(quantized)
 
 
+def _entries_frame(client_index):
+    quantized = {name: np.zeros(len(client_index), dtype=np.int64)
+                 for name in ("timestamp", "client_index", "object_id",
+                              "duration", "bandwidth_bps", "packet_loss_q",
+                              "server_cpu_q", "status")}
+    quantized["client_index"] = np.asarray(client_index, dtype=np.int64)
+    quantized["timestamp"] = np.full(len(client_index), 100, dtype=np.int64)
+    quantized["duration"] = np.full(len(client_index), 5, dtype=np.int64)
+    return quantized
+
+
+def test_entries_naming_gap_in_declared_clients_is_protocol_error():
+    # Parent behaviour: counted under the player "" with no error.
+    worker = FeedWorker("feed0")
+    worker.ingest_clients([(0, "10.0.0.1", "player-a", "WinNT"),
+                           (5, "10.0.0.2", "player-b", "WinNT")])
+    with pytest.raises(ProtocolError, match="client 3 absent"):
+        worker.ingest_entries(_entries_frame([0, 3, 5]))
+    assert worker.entries_ingested == 0
+    assert worker.characterizer.client_counts() == {}
+    assert worker.ingest_entries(_entries_frame([5, 0, 5])) == 3
+    assert worker.characterizer.client_counts() == {"player-a": 1,
+                                                    "player-b": 2}
+
+
+def test_clients_frame_with_huge_index_allocates_by_declared_count():
+    # Parent behaviour: a players array of 2**40 + 1 entries.
+    worker = FeedWorker("feed0")
+    worker.ingest_clients([(2 ** 40, "10.0.0.9", "player-z", "WinNT"),
+                           (1, "10.0.0.1", "player-a", "WinNT")])
+    assert worker.ingest_entries(_entries_frame([1, 1])) == 2
+    assert worker.characterizer.summary().top_clients == (("player-a", 2),)
+    assert worker.sessions_per_client().size <= 4
+
+
 def test_mode_conflicts_are_counted_not_fatal(logs):
     text_path, _ = logs
     worker, _ = text_worker(text_path)

@@ -7,14 +7,19 @@ chunked characterizer folds memory-mapped binary segments into the same
 summary the text parser produces.
 """
 
+import dataclasses
 import filecmp
+
 import numpy as np
 import pytest
 
 from repro.core.model import LiveWorkloadModel
-from repro.parallel import characterize_logs
-from repro.parallel.characterize import plan_log_chunks
+from repro.parallel import characterize_logs, map_ordered
+from repro.parallel.characterize import DEFAULT_CHUNK_BYTES, characterize_chunk, plan_log_chunks
 from repro.stream import run_streaming_generation
+from repro.stream.characterize import characterize_logs_resumable
+from repro.stream.checkpoint import load_checkpoint
+from repro.trace.streaming import StreamingCharacterizer
 from repro.trace.codecs import BinaryTraceReader, detect_codec, read_binary_trace
 from repro.trace.store import TRANSFER_COLUMNS
 from repro.trace.wms_log import read_wms_log
@@ -117,3 +122,76 @@ def test_binary_chunk_plan_covers_all_segments(codec_runs):
     with BinaryTraceReader(bin_path) as reader:
         assert seen == list(range(reader.n_segments))
         assert sum(reader.segment_rows()) == reader.n_entries
+
+
+# ----------------------------------------------------------------------
+# Differential: the integer-keyed .rtb characterizer against text
+# ----------------------------------------------------------------------
+#: 16 KiB splits both files into many chunks; the default is one chunk.
+CHUNK_SIZES = [16_384, DEFAULT_CHUNK_BYTES]
+
+
+def assert_summaries_equal(got, want):
+    """Every field equal; ``bytes_served`` sums floats in another order."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "bytes_served":
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+        elif isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
+def reduced_state(path, chunk_bytes, jobs):
+    """Map-reduce a file into one accumulator's ``state_dict``."""
+    chunks = plan_log_chunks([path], chunk_bytes=chunk_bytes)
+    parts = map_ordered(characterize_chunk, chunks, jobs=jobs)
+    total = StreamingCharacterizer()
+    for part in parts:
+        total.merge(part)
+    return total.state_dict()
+
+
+@pytest.fixture(scope="module")
+def text_reference(codec_runs):
+    text_path, _ = codec_runs
+    return (characterize_logs(text_path),
+            reduced_state(text_path, DEFAULT_CHUNK_BYTES, 1))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+def test_binary_summary_and_client_counts_equal_text(
+        codec_runs, text_reference, jobs, chunk_bytes):
+    _, bin_path = codec_runs
+    want_summary, want_state = text_reference
+    assert_summaries_equal(
+        characterize_logs(bin_path, jobs=jobs, chunk_bytes=chunk_bytes),
+        want_summary)
+    state = reduced_state(bin_path, chunk_bytes, jobs)
+    assert state["client_counts"] == want_state["client_counts"]
+    assert state["n_entries"] == want_state["n_entries"]
+
+
+def test_binary_resumed_mid_file_equals_text(codec_runs, text_reference,
+                                             tmp_path):
+    _, bin_path = codec_runs
+    want_summary, want_state = text_reference
+    ck = tmp_path / "characterize.ck.npz"
+    n_chunks = len(plan_log_chunks([bin_path], chunk_bytes=16_384))
+    assert n_chunks > 2
+    kwargs = dict(checkpoint_path=ck, resume=True, checkpoint_every=1,
+                  chunk_bytes=16_384)
+    assert characterize_logs_resumable(bin_path, max_chunks=n_chunks // 2,
+                                       **kwargs) is None
+    meta, _ = load_checkpoint(ck)
+    assert meta["next_chunk"] == n_chunks // 2
+    partial = meta["characterizer"]["client_counts"]
+    assert 0 < sum(partial.values()) < want_state["n_entries"]
+
+    assert_summaries_equal(characterize_logs_resumable(bin_path, **kwargs),
+                           want_summary)
+    meta, _ = load_checkpoint(ck)
+    assert meta["characterizer"]["client_counts"] == \
+        want_state["client_counts"]

@@ -9,6 +9,7 @@ from repro.errors import TraceError
 from repro.trace.codecs import (
     BINARY_MAGIC,
     BinaryTraceReader,
+    BinaryTraceWriter,
     available_codecs,
     detect_codec,
     format_quantized_entry,
@@ -123,6 +124,114 @@ class TestBinaryRoundTrip:
                 for quantized in reader.iter_quantized()
                 for row in range(int(quantized["timestamp"].shape[0]))]
         assert formatted == data_lines
+
+
+def _two_block_rtb(path):
+    """Two segments, each declaring clients in first-appearance order:
+    block 0 declares [9, 2], block 1 declares [5]."""
+    identity = {9: ("10.0.0.9", "p-nine", "Linux"),
+                2: ("10.0.0.2", "p-two", "Windows_XP"),
+                5: ("10.0.0.5", "p-five", "Mac_OS")}.__getitem__
+    with open(path, "wb") as stream:
+        writer = BinaryTraceWriter(stream, identity)
+        for k, clients in enumerate(([9, 2, 9], [5, 2])):
+            n = len(clients)
+            writer.push(client_index=np.asarray(clients, dtype=np.int64),
+                        object_id=np.zeros(n, dtype=np.int64),
+                        start=k * 100.0 + np.arange(n, dtype=np.float64),
+                        duration=np.full(n, 2.0),
+                        bandwidth_bps=np.full(n, 30_000.0),
+                        global_offset=3 * k, horizon=(k + 1) * 100.0)
+        writer.finish()
+    return path
+
+
+def _patch(path, offset, data):
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(data)] = data
+    path.write_bytes(bytes(blob))
+
+
+class TestClientColumns:
+    def test_sorted_across_blocks(self, tmp_path):
+        path = _two_block_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            assert [block["n"] for block in reader.footer["clients"]] == [2, 1]
+            table = reader.client_columns()
+        assert table.index.tolist() == [2, 5, 9]
+        assert table.player_ids.tolist() == [b"p-two", b"p-five", b"p-nine"]
+        assert table.ips is None and table.os_names is None
+        assert len(table) == 3
+        assert table.positions(np.asarray([9, 2, 5, 9])).tolist() == [
+            2, 0, 1, 2]
+        assert table.players(np.asarray([1, 2])) == ["p-five", "p-nine"]
+        with pytest.raises(TraceError, match="without IPs"):
+            table.identities()
+
+    def test_identities_on_request(self, tmp_path):
+        path = _two_block_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            table = reader.client_columns(identities=True)
+            identity_map = reader.client_identity_map()
+        assert table.identities() == (
+            ["10.0.0.2", "10.0.0.5", "10.0.0.9"],
+            ["p-two", "p-five", "p-nine"],
+            ["Windows_XP", "Mac_OS", "Linux"])
+        assert identity_map == {2: ("10.0.0.2", "p-two", "Windows_XP"),
+                                5: ("10.0.0.5", "p-five", "Mac_OS"),
+                                9: ("10.0.0.9", "p-nine", "Linux")}
+
+    @pytest.mark.parametrize("client", [0, 3, 10, -1, 2 ** 40])
+    def test_undeclared_client_is_trace_error(self, tmp_path, client):
+        path = _two_block_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            table = reader.client_columns()
+        with pytest.raises(TraceError, match=f"client {client} absent"):
+            table.positions(np.asarray([2, client, 9]))
+
+    def test_empty_table_rejects_any_entry(self, tmp_path):
+        path = tmp_path / "empty.rtb"
+        write_binary_trace(Trace(ClientTable([], [], [], []), [], [], [], [],
+                                 extent=0.0), path)
+        with BinaryTraceReader(path) as reader:
+            table = reader.client_columns()
+        assert table.positions(np.empty(0, dtype=np.int64)).size == 0
+        with pytest.raises(TraceError, match="client 0 absent"):
+            table.positions(np.asarray([0]))
+
+    @pytest.mark.parametrize("declared, match", [
+        (-4, "negative client index -4"),
+        (5, "client 5 is declared in more than one client block"),
+    ])
+    def test_bad_declarations_are_trace_errors(self, tmp_path, declared,
+                                               match):
+        path = _two_block_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            offset = reader.footer["clients"][0]["index_offset"]
+        _patch(path, offset, declared.to_bytes(8, "little", signed=True))
+        with BinaryTraceReader(path) as reader:
+            with pytest.raises(TraceError, match=match):
+                reader.client_columns()
+
+    def test_non_utf8_player_is_trace_error(self, tmp_path):
+        path = _two_block_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            offset = reader.footer["clients"][1]["player_ids"]["offset"]
+        _patch(path, offset, b"\xff")
+        with pytest.raises(TraceError, match="not UTF-8"):
+            read_binary_trace(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 10 ** 12), ("n", -1), ("index_offset", 10 ** 12),
+        ("n", "many"), ("player_ids", {"offset": 0, "itemsize": 2 ** 40}),
+        ("player_ids", {"offset": 0, "itemsize": 0})])
+    def test_block_outside_the_file_is_trace_error(self, tmp_path, field,
+                                                   value):
+        path = _two_block_rtb(tmp_path / "t.rtb")
+        with BinaryTraceReader(path) as reader:
+            reader.footer["clients"][0][field] = value
+            with pytest.raises(TraceError, match="client block 0"):
+                reader.client_columns()
 
 
 class TestCodecObjects:
