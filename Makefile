@@ -114,16 +114,16 @@ bench-cdn:
 	PYTHONPATH=src python benchmarks/bench_cdn.py --out BENCH_cdn.json
 
 # The repo benchmark declared in BENCHMARK.json: one run of each
-# workload, printing its metrics as the last line (a JSON object).
-# Override the inputs' seed, the run length or tracing, e.g.
-#   make perfbench SEED=9200 RUN_SECONDS=45 TRACE=1
+# workload for the run length it declares, printing its metrics as the
+# last line (a JSON object).  Override the inputs' seed or tracing, e.g.
+#   make perfbench SEED=9200 TRACE=1
 SEED ?= 1
-RUN_SECONDS ?= 45
 TRACE ?= 0
 perfbench:
+	seconds=$$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])') && \
 	for workload in text-log rtb-log; do \
 		python3 perfbench/run.py --workload $$workload --seed $(SEED) \
-			--seconds $(RUN_SECONDS) --trace $(TRACE) || exit 1; \
+			--seconds $$seconds --trace $(TRACE) || exit 1; \
 	done
 
 experiments:

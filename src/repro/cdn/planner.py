@@ -19,7 +19,7 @@ the report is bit-identical for any ``jobs`` count.
 
 from __future__ import annotations
 
-import os
+import io
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -172,20 +172,20 @@ def sweep_configs(edge_counts: tuple[int, ...],
 
 
 def _load_trace(path: str) -> Trace:
-    """Per-process trace cache: each worker reads the .npz once.
+    """Per-process trace cache: each worker parses the .npz once.
 
-    Keyed on the file's identity, not its path alone, so a trace
-    rewritten in place is read again — also by forked workers, which
-    inherit the parent's cache.
+    Keyed on the file's bytes, not its path or timestamps, so a trace
+    rewritten in place is parsed again even at the same size within one
+    timestamp tick — also by forked workers, which inherit the parent's
+    cache.  Reading the bytes costs a small fraction of parsing them.
     """
-    stat = os.stat(path)
-    return _load_trace_version(path, stat.st_mtime_ns, stat.st_size)
+    return _parse_trace(Path(path).read_bytes())
 
 
 @lru_cache(maxsize=1)
-def _load_trace_version(path: str, mtime_ns: int, size: int) -> Trace:
-    """Load ``path``; ``mtime_ns`` and ``size`` only key the cache."""
-    return Trace.load_npz(path)
+def _parse_trace(data: bytes) -> Trace:
+    """Parse a saved trace from the bytes of its ``.npz`` file."""
+    return Trace.load_npz(io.BytesIO(data))
 
 
 #: Picklable sweep task: (trace path, n_edges, bandwidth, max_conn,

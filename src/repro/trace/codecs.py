@@ -586,10 +586,11 @@ class BinaryTraceReader:
     def client_columns(self, *, identities: bool = False) -> ClientColumns:
         """Every declared client, as columns sorted by client index.
 
-        Each client block's index array and player-ID strings are read as
-        views of the memory map, with no per-client Python; the IPs and
-        OS names are read only when ``identities`` is true.  This is the
-        one place client blocks are parsed.
+        Each client block's index array and player-ID strings are sliced
+        from the memory map with no per-client Python, then copied once
+        into the sorted columns, so the result outlives the reader.  The
+        IPs and OS names are read only when ``identities`` is true.  This
+        is the one place client blocks are parsed.
 
         Raises
         ------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -366,9 +366,10 @@ class Trace:
         )
 
     @classmethod
-    def load_npz(cls, path: str | Path) -> "Trace":
-        """Load a trace previously written by :meth:`save_npz`."""
-        with np.load(Path(path), allow_pickle=False) as data:
+    def load_npz(cls, path: str | Path | BinaryIO) -> "Trace":
+        """Load a trace written by :meth:`save_npz` from a path or file."""
+        source = Path(path) if isinstance(path, (str, Path)) else path
+        with np.load(source, allow_pickle=False) as data:
             clients = ClientTable(
                 player_ids=data["player_ids"],
                 ips=data["ips"],

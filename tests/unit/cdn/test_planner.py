@@ -14,7 +14,7 @@ from repro.cdn import (
     plan_deployment,
     sweep_configs,
 )
-from repro.cdn.planner import _evaluate_config
+from repro.cdn.planner import _evaluate_config, _load_trace
 from repro.core.gismo import LiveWorkloadGenerator
 from repro.core.model import LiveWorkloadModel
 from repro.errors import CdnError
@@ -173,9 +173,26 @@ class TestTraceCache:
         before = plan_deployment(str(path), edge_counts=(1,), jobs=1)
         assert before.outcomes[0].n_requests == len(first)
 
-        stat = path.stat()
         second.save_npz(path)
-        # A later mtime even on filesystems with coarse timestamps.
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
         after = plan_deployment(str(path), edge_counts=(1, 2), jobs=jobs)
         assert [o.n_requests for o in after.outcomes] == [len(second)] * 2
+
+    def test_same_size_rewrite_within_one_tick_is_reread(self, trace_path,
+                                                         tmp_path):
+        with np.load(trace_path) as data:
+            arrays = {name: data[name] for name in data.files}
+        path = tmp_path / "trace.npz"
+        # Uncompressed, so both versions have exactly the same size.
+        np.savez(path, **arrays)
+        stat = path.stat()
+        first = _load_trace(str(path))
+        np.testing.assert_array_equal(first.duration, arrays["duration"])
+
+        np.savez(path, **{**arrays, "duration": arrays["duration"] / 2})
+        # Put the old timestamps back, as if written within one tick.
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        rewritten = path.stat()
+        assert (rewritten.st_size, rewritten.st_mtime_ns) == (
+            stat.st_size, stat.st_mtime_ns)
+        np.testing.assert_array_equal(_load_trace(str(path)).duration,
+                                      arrays["duration"] / 2)
