@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .._typing import FloatArray
+import numpy as np
+
+from .._typing import FloatArray, IntArray
 from ..errors import LogParseError
 from ..trace.codecs import ENTRY_COLUMNS, _DTYPE_SIZES, BinaryTraceReader, detect_codec
 from ..trace.streaming import StreamingCharacterizer, StreamingSummary
@@ -34,6 +36,11 @@ from .pool import logger, map_ordered
 
 #: Default target chunk size for splitting log files, in bytes.
 DEFAULT_CHUNK_BYTES = 8 * 1024 * 1024
+
+#: Entries of consecutive binary segments folded per
+#: ``consume_columns`` call: amortizes the per-call work over many
+#: segments while bounding the concatenated columns.
+BINARY_BATCH_ROWS = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -186,14 +193,16 @@ def consume_chunk(characterizer: StreamingCharacterizer,
                   chunk: LogChunk) -> int:
     """Fold one chunk into ``characterizer``; returns entries consumed.
 
-    Text chunks read their byte range and feed
+    Text chunks hand their byte range, as read, to
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_lines`
-    (undecodable bytes become skipped lines, as in the serial reader);
-    binary chunks materialize each covered segment's columns from the
-    memory map and feed the vectorized
+    (undecodable bytes make their line malformed, as in the serial
+    reader); binary chunks materialize each covered segment's columns
+    from the memory map and feed the vectorized
     :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
     path against the file's declared client table — no row dicts, no
-    per-line Python.
+    per-line Python.  Consecutive segments are concatenated into calls
+    of about :data:`BINARY_BATCH_ROWS` entries; the accumulators do not
+    depend on how entries are grouped into calls.
 
     Raises
     ------
@@ -204,16 +213,23 @@ def consume_chunk(characterizer: StreamingCharacterizer,
         parsed = 0
         with BinaryTraceReader(chunk.path) as reader:
             clients = reader.client_columns()
+            rows = reader.segment_rows()
+            batch: list[dict[str, FloatArray | IntArray]] = []
+            batch_rows = 0
             for index in chunk.segments:
-                parsed += characterizer.consume_columns(
-                    reader.segment_columns(index), clients)
+                batch.append(reader.segment_columns(index))
+                batch_rows += rows[index]
+                if (batch_rows >= BINARY_BATCH_ROWS
+                        or index == chunk.segments[-1]):
+                    parsed += characterizer.consume_columns(
+                        {name: np.concatenate([part[name] for part in batch])
+                         for name in batch[0]}, clients)
+                    batch, batch_rows = [], 0
         return parsed
     with open(chunk.path, "rb") as stream:
         stream.seek(chunk.byte_lo)
         blob = stream.read(chunk.n_bytes)
-    return characterizer.consume_lines(
-        blob.decode("ascii", errors="replace").splitlines(),
-        list(chunk.fields))
+    return characterizer.consume_lines(blob, chunk.fields)
 
 
 def characterize_chunk(chunk: LogChunk, *, diurnal_bins: int = 96,

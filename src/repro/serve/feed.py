@@ -46,7 +46,13 @@ from ..errors import ProtocolError, ReproError, TraceError
 from ..stream.sessionize import FinalizedSessions, OnlineSessionizer, merge_finalized
 from ..trace.codecs import ClientColumns, decode_entry_columns
 from ..trace.streaming import StreamingCharacterizer, _OnlineLogMoments
-from ..trace.wms_log import LOG_FIELDS, _REPLACEMENT, _URI_PREFIX, _parse_fields_header
+from ..trace.wms_log import (
+    LOG_FIELDS,
+    _parse_fields_header,
+    join_log_lines,
+    split_log_block,
+    tokenize_wms_lines,
+)
 from ..units import DEFAULT_SESSION_TIMEOUT
 from .config import DEFAULT_LATENESS
 from .tracking import (
@@ -61,20 +67,6 @@ from .tracking import (
 _LINES = "lines"
 _ENTRIES = "entries"
 _CLIENTS = "clients"
-
-
-class _FieldIndex:
-    """Cached column positions for the light session-side line parse."""
-
-    __slots__ = ("n_fields", "ts", "player", "uri", "dur", "bw")
-
-    def __init__(self, fields: list[str]) -> None:
-        self.n_fields = len(fields)
-        self.ts = fields.index("x-timestamp")
-        self.player = fields.index("c-playerid")
-        self.uri = fields.index("cs-uri-stem")
-        self.dur = fields.index("x-duration")
-        self.bw = fields.index("avg-bandwidth")
 
 
 class FeedWorker:
@@ -117,8 +109,7 @@ class FeedWorker:
 
         # Text-mode machinery.
         self._fields: list[str] | None = None
-        self._findex = _FieldIndex(list(LOG_FIELDS))
-        self._player_index: dict[str, int] = {}
+        self._player_index: dict[bytes, int] = {}
         # Binary-mode machinery.
         self._identities: dict[int, tuple[str, str, str]] = {}
         self._table: ClientColumns | None = None
@@ -240,87 +231,41 @@ class FeedWorker:
     def ingest_lines(self, lines: list[str]) -> int:
         """Fold a batch of raw text log lines; returns entries parsed.
 
-        Mirrors the batch pipeline exactly: the characterizer sees the
-        data lines in arrival order under the current ``#Fields`` layout
-        (directives are intercepted here, mid-batch included), and a
-        light parallel parse extracts ``(client, start, duration)`` for
-        session tracking using the same skip rules, so both sides agree
+        Mirrors the batch pipeline exactly: each run of data lines is
+        tokenized once under the current ``#Fields`` layout (directives
+        are intercepted here, mid-batch included), and the same columns
+        feed the characterizer, in arrival order, and the session
+        tracking's ``(client, start, duration)``, so both sides agree
         line for line on what counts as an entry.
         """
         if not self._enter_mode("text"):
             return 0
         self.lines_ingested += len(lines)
         parsed = 0
-        run: list[str] = []
-        for raw in lines:
-            line = raw.strip()
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    if run:
-                        parsed += self._consume_text_run(run)
-                        run = []
-                    self._fields = _parse_fields_header(line, 0)
-                    self._findex = _FieldIndex(self._fields)
-                continue
-            if line:
-                run.append(line)
-        if run:
-            parsed += self._consume_text_run(run)
+        for _, run, directive in split_log_block(join_log_lines(lines)):
+            if not directive:
+                parsed += self._consume_text_run(run)
+            elif run.startswith(b"#Fields:"):
+                self._fields = _parse_fields_header(
+                    run.decode("ascii", "replace"), 0)
         self.entries_ingested += parsed
         return parsed
 
-    def _consume_text_run(self, run: list[str]) -> int:
-        fields = self._fields if self._fields is not None else list(LOG_FIELDS)
-        parsed = self.characterizer.consume_lines(run, fields)
-        findex = self._findex
-        players: list[str] = []
-        starts: list[float] = []
-        durations: list[float] = []
-        for line in run:
-            row = self._parse_session_line(line, findex)
-            if row is None:
-                continue
-            players.append(row[0])
-            starts.append(row[1])
-            durations.append(row[2])
-        if players:
+    def _consume_text_run(self, run: bytes) -> int:
+        tokens = tokenize_wms_lines(
+            run, self._fields if self._fields is not None else LOG_FIELDS)
+        parsed = self.characterizer.consume_columns(tokens)
+        if parsed:
             index = self._player_index
-            client = np.empty(len(players), dtype=np.int64)
-            for k, player in enumerate(players):
-                idx = index.get(player)
-                if idx is None:
-                    idx = len(index)
-                    index[player] = idx
-                client[k] = idx
+            for player in dict.fromkeys(tokens.player):
+                index.setdefault(player, len(index))
+            client = np.fromiter(map(index.__getitem__, tokens.player),
+                                 dtype=np.int64, count=parsed)
             self._ensure_capacity(len(index))
             self._enqueue_reorder(
-                client,
-                np.asarray(starts, dtype=np.float64),
-                np.asarray(durations, dtype=np.float64))
+                client, tokens.timestamp.astype(np.float64) - tokens.duration,
+                tokens.duration)
         return parsed
-
-    @staticmethod
-    def _parse_session_line(line: str, findex: _FieldIndex
-                            ) -> tuple[str, float, float] | None:
-        """Extract ``(player, start, duration)`` with the characterizer's
-        exact skip rules (so entry sets agree)."""
-        if _REPLACEMENT in line:
-            return None
-        parts = line.split()
-        if len(parts) != findex.n_fields:
-            return None
-        try:
-            duration = float(parts[findex.dur])
-            float(parts[findex.bw])
-            timestamp = int(parts[findex.ts])
-            uri = parts[findex.uri]
-            if not uri.startswith(_URI_PREFIX):
-                return None
-            int(uri[len(_URI_PREFIX):])
-            player = parts[findex.player]
-        except ValueError:
-            return None
-        return player, float(timestamp) - duration, duration
 
     def ingest_clients(self, rows: list[tuple[int, str, str, str]]) -> None:
         """Fold one CLIENTS identity frame (idempotent re-sends are fine)."""
@@ -341,9 +286,8 @@ class FeedWorker:
 
         One frame is consumed as one
         :meth:`~repro.trace.streaming.StreamingCharacterizer.consume_columns`
-        call — the same per-segment grouping the batch binary reader
-        uses, which keeps the single float accumulator's summation order
-        identical.
+        call; its accumulators sum in entry order whatever the grouping,
+        so the state equals the batch binary reader's.
         """
         if not self._enter_mode("binary"):
             return 0
@@ -500,10 +444,8 @@ class FeedWorker:
 
     def intern_table(self) -> list[str]:
         """Player IDs in interned index order (text mode)."""
-        players = [""] * len(self._player_index)
-        for player, index in self._player_index.items():
-            players[index] = player
-        return players
+        # Interning appends, so key order is index order.
+        return [player.decode("utf-8") for player in self._player_index]
 
     # ------------------------------------------------------------------
     # Metrics / state
@@ -607,8 +549,6 @@ class FeedWorker:
         self._capacity = int(meta["capacity"])
         fields = meta["fields"]
         self._fields = list(fields) if fields is not None else None
-        self._findex = _FieldIndex(self._fields if self._fields is not None
-                                   else list(LOG_FIELDS))
         counters = meta["counters"]
         self.lines_ingested = int(counters["lines_ingested"])
         self.frames_ingested = int(counters["frames_ingested"])
@@ -663,7 +603,7 @@ class FeedWorker:
         self._spc = np.asarray(arrays["spc"], dtype=np.int64).copy()
 
         self._player_index = {
-            str(player): k
+            str(player).encode("utf-8"): k
             for k, player in enumerate(arrays["players"].tolist())}
         self._identities = {}
         for k, index in enumerate(

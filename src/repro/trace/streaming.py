@@ -34,21 +34,26 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, TextIO
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
-from bisect import bisect_right
 
-from .._typing import FloatArray
+from .._typing import FloatArray, IntArray
+from ..units import DAY
+from .codecs import ClientColumns
+from .wms_log import (
+    WmsColumns,
+    iter_log_blocks,
+    iter_wms_runs,
+    split_log_block,
+    tokenize_wms_lines,
+)
 
 #: Shape/dtype-generic array (decoded binary segment columns).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
-from ..errors import LogParseError
-from ..units import DAY
-from .codecs import ClientColumns
-from .wms_log import _REPLACEMENT, _URI_PREFIX, _parse_fields_header, iter_log_lines
 
 #: Default log-spaced bandwidth histogram edges (bits/second).
 DEFAULT_BANDWIDTH_EDGES = np.logspace(3, 7, 41)
@@ -171,7 +176,6 @@ class StreamingCharacterizer:
         self._feed_counts: dict[int, int] = {}
         self._edges = (DEFAULT_BANDWIDTH_EDGES if bandwidth_edges is None
                        else np.asarray(bandwidth_edges, dtype=np.float64))
-        self._edge_list = self._edges.tolist()
         self._bandwidth_hist = np.zeros(self._edges.size - 1,
                                         dtype=np.float64)
         self._diurnal = np.zeros(diurnal_bins, dtype=np.float64)
@@ -183,71 +187,56 @@ class StreamingCharacterizer:
     def consume(self, source: str | Path | TextIO | Iterable[str]) -> int:
         """Consume one log file/stream; returns entries parsed from it.
 
-        Malformed data lines are counted and skipped (a streaming consumer
-        cannot afford to abort mid-harvest); a missing ``#Fields`` header
-        still raises, since nothing after it could be interpreted.  Paths
-        are opened with ``errors="replace"`` so undecodable bytes in a
-        corrupt harvest count as skipped lines instead of aborting.
+        Malformed data lines (see
+        :func:`repro.trace.wms_log.tokenize_wms_lines`) are counted and
+        skipped — a streaming consumer cannot afford to abort
+        mid-harvest; a missing ``#Fields`` header still raises, since
+        nothing after it could be interpreted.  Every ``#Fields``
+        directive is followed.  Sources are read in blocks of lines.
         """
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="ascii",
-                      errors="replace") as stream:
-                return self._consume_stream(stream)
-        return self._consume_stream(source)
-
-    def _consume_stream(self, stream: TextIO | Iterable[str]) -> int:
         parsed = 0
-        fields: list[str] | None = None
-        for number, line in iter_log_lines(stream):
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    fields = _parse_fields_header(line, number)
-                continue
-            if fields is None:
-                raise LogParseError("data before #Fields header",
-                                    line_number=number, line=line)
-            if self._consume_line(line, fields):
-                parsed += 1
+        for _, run, fields in iter_wms_runs(source):
+            parsed += self._consume_tokens(tokenize_wms_lines(run, fields))
         return parsed
 
-    def consume_lines(self, lines: Iterable[str],
-                      fields: list[str]) -> int:
-        """Consume pre-split data lines against a known field layout.
+    def consume_lines(self, lines: Iterable[str] | bytes,
+                      fields: Sequence[str]) -> int:
+        """Consume data lines against a known field layout.
 
         The chunked ingestion path: callers that already located the
         ``#Fields`` header (e.g. :func:`repro.parallel.characterize_logs`
         workers fed byte ranges of a split log) hand the layout in
-        directly.  Blank and comment lines are ignored; malformed data
-        lines are counted and skipped exactly as in :meth:`consume`.
-        Returns the number of entries parsed.
+        directly.  ``lines`` is text lines, or the raw bytes of whole
+        lines of a log file.  Blank and ``#`` lines are ignored;
+        malformed data lines are counted and skipped exactly as in
+        :meth:`consume`.  Returns the number of entries parsed.
         """
         parsed = 0
-        for raw in lines:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if self._consume_line(line, fields):
-                parsed += 1
+        for first, block in iter_log_blocks(lines):
+            for _, run, directive in split_log_block(block, first):
+                if not directive:
+                    parsed += self._consume_tokens(
+                        tokenize_wms_lines(run, fields))
         return parsed
 
-    def consume_columns(self, columns: Mapping[str, _AnyArray],
-                        clients: ClientColumns) -> int:
-        """Consume one decoded binary segment as column arrays.
+    def consume_columns(self, columns: Mapping[str, _AnyArray] | WmsColumns,
+                        clients: ClientColumns | None = None) -> int:
+        """Consume one block of entries as column arrays.
 
-        The vectorized counterpart of :meth:`consume_lines` for the
-        binary codec: ``columns`` is one segment's decoded trace-domain
+        ``columns`` is either one decoded binary segment's trace-domain
         columns (see
-        :meth:`repro.trace.codecs.BinaryTraceReader.segment_columns`)
-        and ``clients`` the declared client table its ``client_index``
+        :meth:`repro.trace.codecs.BinaryTraceReader.segment_columns`),
+        with ``clients`` the declared client table its ``client_index``
         column refers to (see
-        :meth:`repro.trace.codecs.BinaryTraceReader.client_columns`).
-        Clients are counted by table position in an ``int64`` array and
-        folded into the player-ID counts once per table, not per entry.
-        Every accumulator update reproduces the per-line path exactly —
-        the decoded doubles are bit-identical to the parsed text fields,
-        so histogram binning and the diurnal fold agree entry for entry;
-        only the ``bytes_served`` float accumulation order differs.
-        Returns the number of entries consumed.
+        :meth:`repro.trace.codecs.BinaryTraceReader.client_columns`), or
+        a run of tokenized text lines
+        (:func:`repro.trace.wms_log.tokenize_wms_lines`), whose players
+        are counted by token and whose malformed lines count as skipped.
+        Binary clients are counted by table position in an ``int64``
+        array and folded into the player-ID counts once per table, not
+        per entry.  Both forms feed one accumulator, so the same entries
+        give the same state whichever codec carried them.  Returns the
+        number of entries consumed.
 
         Raises
         ------
@@ -255,45 +244,80 @@ class StreamingCharacterizer:
             If an entry names a client the table does not declare; the
             segment is then not consumed.
         """
+        if isinstance(columns, WmsColumns):
+            return self._consume_tokens(columns)
+        if clients is None:
+            raise TypeError("binary columns need their client table")
         position = clients.positions(columns["client_index"])
-        duration = np.maximum(
-            np.asarray(columns["duration"], dtype=np.float64), 0.0)
-        bandwidth = np.asarray(columns["bandwidth_bps"], dtype=np.float64)
-        timestamp = np.asarray(columns["timestamp"], dtype=np.int64)
-        feed = np.asarray(columns["object_id"], dtype=np.int64)
-        n = int(duration.size)
+        n = self._accumulate(
+            np.asarray(columns["timestamp"], dtype=np.int64),
+            np.asarray(columns["duration"], dtype=np.float64),
+            np.asarray(columns["bandwidth_bps"], dtype=np.float64),
+            np.asarray(columns["object_id"], dtype=np.int64))
         if n == 0:
             return 0
-
-        self._n_entries += n
-        display = np.floor(duration).astype(np.int64) + 1
-        for value, count in zip(*(arr.tolist() for arr in
-                                  np.unique(display, return_counts=True)),
-                                strict=True):
-            self._log_length.counts[value] = (
-                self._log_length.counts.get(value, 0) + count)
-        self._bits += float(np.dot(duration, np.maximum(bandwidth, 0.0)))
         if clients is not self._table:
             self._fold_clients()
             self._table = clients
             self._table_counts = np.zeros(len(clients), dtype=np.int64)
         self._table_counts += np.bincount(position, minlength=len(clients))
+        return n
+
+    def _consume_tokens(self, tokens: WmsColumns) -> int:
+        self._n_skipped += tokens.n_skipped
+        # A text bandwidth may be inf or NaN; its products stay IEEE,
+        # as the per-entry sum's do, without numpy's warnings.
+        with np.errstate(invalid="ignore", over="ignore"):
+            n = self._accumulate(tokens.timestamp, tokens.duration,
+                                 tokens.bandwidth_bps, tokens.object_id)
+        counts = Counter(tokens.player)
+        client_counts = self._client_counts
+        players = b"\n".join(counts).decode("ascii").split("\n")
+        for player, count in zip(players, counts.values()):
+            client_counts[player] = client_counts.get(player, 0) + count
+        return n
+
+    def _accumulate(self, timestamp: IntArray, duration: FloatArray,
+                    bandwidth: FloatArray, feed: IntArray) -> int:
+        """Fold one block of entries into every accumulator but clients.
+
+        The arithmetic is the per-entry rule applied elementwise, so each
+        update is bit-identical to consuming the entries one at a time;
+        ``bytes_served`` is summed in entry order by a cumulative sum
+        seeded with the running total.
+        """
+        n = int(duration.size)
+        if n == 0:
+            return 0
+        self._n_entries += n
+        clamped = np.maximum(duration, 0.0)
+        # The paper's floor(t) + 1 display convention (log_display_time),
+        # kept as an exact integer so accumulators merge losslessly.
+        display = np.floor(clamped).astype(np.int64) + 1
+        for value, count in zip(*(arr.tolist() for arr in
+                                  np.unique(display, return_counts=True)),
+                                strict=True):
+            self._log_length.counts[value] = (
+                self._log_length.counts.get(value, 0) + count)
+        bits = np.empty(n + 1, dtype=np.float64)
+        bits[0] = self._bits
+        np.multiply(clamped, np.maximum(bandwidth, 0.0), out=bits[1:])
+        self._bits = float(np.add.accumulate(bits, out=bits)[-1])
         for value, count in zip(*(arr.tolist() for arr in
                                   np.unique(feed, return_counts=True)),
                                 strict=True):
             self._feed_counts[value] = self._feed_counts.get(value, 0) + count
         self._congested += int(
             np.count_nonzero(bandwidth < CONGESTION_THRESHOLD_BPS))
-        # searchsorted(side="right") - 1 == bisect_right(edges, bw) - 1.
+        # The last edge at or below bw (NaN lands past the end).
         bin_idx = np.searchsorted(self._edges, bandwidth,
                                   side="right").astype(np.int64) - 1
         in_range = (bin_idx >= 0) & (bin_idx < self._bandwidth_hist.size)
         self._bandwidth_hist += np.bincount(
             bin_idx[in_range], minlength=self._bandwidth_hist.size
             ).astype(np.float64)
-        # start = timestamp - duration, exactly the per-line arithmetic.
-        phase = (timestamp.astype(np.float64)
-                 - np.asarray(columns["duration"], dtype=np.float64)) % DAY
+        # start = timestamp - duration, unclamped.
+        phase = (timestamp.astype(np.float64) - duration) % DAY
         diurnal_idx = np.minimum(
             (phase / self._bin_width).astype(np.int64),
             self._diurnal.size - 1)
@@ -319,48 +343,6 @@ class StreamingCharacterizer:
         # the payload carries counts, not the client table.
         self._fold_clients()
         return self.__dict__.copy()
-
-    def _consume_line(self, line: str, fields: list[str]) -> bool:
-        if _REPLACEMENT in line:
-            # Undecodable bytes (a well-formed log is pure ASCII): the
-            # fields cannot be trusted even if the line still splits.
-            self._n_skipped += 1
-            return False
-        parts = line.split()
-        if len(parts) != len(fields):
-            self._n_skipped += 1
-            return False
-        row = dict(zip(fields, parts, strict=True))
-        try:
-            duration = float(row["x-duration"])
-            bandwidth = float(row["avg-bandwidth"])
-            timestamp = int(row["x-timestamp"])
-            uri = row["cs-uri-stem"]
-            if not uri.startswith(_URI_PREFIX):
-                raise ValueError("bad uri")
-            feed = int(uri[len(_URI_PREFIX):])
-            player = row["c-playerid"]
-        except (KeyError, ValueError):
-            self._n_skipped += 1
-            return False
-
-        self._n_entries += 1
-        # The paper's floor(t) + 1 display convention (log_display_time),
-        # kept as an exact integer so accumulators merge losslessly.
-        self._log_length.add(math.floor(max(duration, 0.0)) + 1)
-        self._bits += max(duration, 0.0) * max(bandwidth, 0.0)
-        self._client_counts[player] = self._client_counts.get(player, 0) + 1
-        self._feed_counts[feed] = self._feed_counts.get(feed, 0) + 1
-        if bandwidth < CONGESTION_THRESHOLD_BPS:
-            self._congested += 1
-        bin_idx = bisect_right(self._edge_list, bandwidth) - 1
-        if 0 <= bin_idx < self._bandwidth_hist.size:
-            self._bandwidth_hist[bin_idx] += 1
-        start = timestamp - duration
-        phase = start % DAY
-        self._diurnal[min(int(phase / self._bin_width),
-                          self._diurnal.size - 1)] += 1
-        return True
 
     # ------------------------------------------------------------------
     # Merging

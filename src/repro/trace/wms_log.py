@@ -22,16 +22,17 @@ emit entries in the identical ``(end, trace position)`` order.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
+from itertools import chain, compress, islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .._typing import FloatArray, IntArray
-from ..errors import LogParseError
-from .builder import TraceBuilder
+from ..errors import LogParseError, TraceError
 from .records import ClientRecord
-from .store import Trace
+from .store import ClientTable, Trace
 
 #: An ndarray of any dtype (the reorder buffer mixes floats and ints).
 _AnyArray = np.ndarray[Any, np.dtype[Any]]
@@ -52,11 +53,6 @@ LOG_FIELDS: tuple[str, ...] = (
 )
 
 _URI_PREFIX = "/live/feed"
-
-#: The Unicode replacement character: the marker ``errors="replace"``
-#: decoding leaves behind for undecodable bytes.  A well-formed log is
-#: pure ASCII, so its presence identifies a corrupt line unambiguously.
-_REPLACEMENT = "�"
 
 #: Type of the optional IP -> (as_number, country) resolver.
 IpResolver = Callable[[str], tuple[int, str]]
@@ -332,6 +328,486 @@ def iter_log_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
+# ----------------------------------------------------------------------
+# Reading: one batch tokenizer behind every text reader
+# ----------------------------------------------------------------------
+#: Target size of one tokenized run of lines: bounds the token lists a
+#: :func:`tokenize_wms_lines` call holds (about 4,800 generated lines).
+TOKENIZE_BYTES = 512 * 1024
+
+#: Bytes (paths) or characters (text streams) read per block.
+_READ_SIZE = 1024 * 1024
+
+#: Lines per block when the source is an iterable of lines.
+_LINE_BATCH = 8192
+
+#: What ``str.strip()``/``str.split()`` treat as whitespace in ASCII.
+#: ``bytes.split()`` misses the information separators ``\x1c``-``\x1f``,
+#: so the tokenizer maps them to spaces first.
+_WHITESPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_SEPARATORS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
+
+#: Token closing every line in the uniform fast path; an ASCII block
+#: cannot hold it.
+_EOL = b"\xff"
+
+_URI_PREFIX_BYTES = _URI_PREFIX.encode("ascii")
+
+#: Durations from here up have no int64 ``floor(t) + 1`` display.
+_DURATION_LIMIT = 2.0 ** 63
+
+
+def _feed_id(token: bytes) -> int:
+    if not token.startswith(_URI_PREFIX_BYTES):
+        raise ValueError(f"unexpected URI stem {token!r}")
+    return int(token[len(_URI_PREFIX_BYTES):])
+
+
+def _finite_duration(values: FloatArray) -> _AnyArray:
+    return np.isfinite(values) & (values < _DURATION_LIMIT)
+
+
+def _trace_duration(values: FloatArray) -> _AnyArray:
+    return _finite_duration(values) & (values >= 0.0)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How one numeric field of a data line must parse.
+
+    ``convert`` runs per token (``int`` and ``float`` take ASCII bytes);
+    the value must then fit ``dtype`` and, if given, pass ``valid``.
+    """
+
+    field: str
+    column: str
+    convert: Callable[[bytes], Any]
+    dtype: type
+    valid: Callable[[Any], _AnyArray] | None = None
+    expect: str = ""
+    #: Convert each distinct token once (few distinct values).
+    distinct: bool = False
+
+
+_TIMESTAMP = _Rule("x-timestamp", "timestamp", int, np.int64)
+_OBJECT = _Rule("cs-uri-stem", "object_id", _feed_id, np.int64,
+                distinct=True)
+_BANDWIDTH = _Rule("avg-bandwidth", "bandwidth_bps", float, np.float64)
+
+#: The numeric fields every reader parses, in error-report order.
+_RULES: tuple[_Rule, ...] = (
+    _TIMESTAMP,
+    _Rule("x-duration", "duration", float, np.float64, _finite_duration,
+          "finite and below 2**63"),
+    _OBJECT,
+    _BANDWIDTH,
+)
+
+#: :func:`read_wms_log` also parses these, and a Trace holds no
+#: negative duration.
+_TRACE_RULES: tuple[_Rule, ...] = (
+    _TIMESTAMP,
+    _Rule("x-duration", "duration", float, np.float64, _trace_duration,
+          "finite, non-negative and below 2**63"),
+    _OBJECT,
+    _BANDWIDTH,
+    _Rule("packet-loss-rate", "packet_loss", float, np.float64),
+    _Rule("s-cpu-util", "server_cpu", float, np.float64),
+    _Rule("sc-status", "status", int, np.int64),
+)
+
+#: Token columns kept as bytes: (field, column) pairs.
+_PLAYER = (("c-playerid", "player"),)
+_IDENTITY = (("c-playerid", "player"), ("c-ip", "ip"), ("c-os", "os_name"))
+
+
+@dataclass(frozen=True)
+class WmsColumns:
+    """Trace-domain columns of one run of WMS log lines.
+
+    What :func:`tokenize_wms_lines` returns: one row per well-formed
+    data line, in line order.  ``line`` and ``skipped`` are 0-based line
+    indices within the run of the rows and of the malformed data lines.
+    The identity tokens are ASCII bytes; ``ip``, ``os_name`` and the
+    last three numeric columns are ``None`` unless ``trace=True``.
+    """
+
+    line: IntArray
+    skipped: IntArray
+    timestamp: IntArray
+    duration: FloatArray
+    bandwidth_bps: FloatArray
+    object_id: IntArray
+    player: list[bytes]
+    ip: list[bytes] | None = None
+    os_name: list[bytes] | None = None
+    packet_loss: FloatArray | None = None
+    server_cpu: FloatArray | None = None
+    status: IntArray | None = None
+
+    def __len__(self) -> int:
+        return int(self.line.size)
+
+    @property
+    def n_skipped(self) -> int:
+        """Malformed data lines in the run."""
+        return int(self.skipped.size)
+
+
+def tokenize_wms_lines(run: bytes, fields: Sequence[str], *,
+                       trace: bool = False) -> WmsColumns:
+    """Tokenize a run of WMS log lines into columns, by one rule.
+
+    ``run`` is lines separated by ``\\n``; ``fields`` is the
+    ``#Fields`` layout they follow (a name listed twice is read from its
+    last position).  Blank lines and lines whose first token starts with
+    ``#`` are not data lines.  A data line is malformed, and is counted
+    in :attr:`WmsColumns.skipped` instead of becoming a row, when
+
+    * it holds a byte outside ASCII;
+    * it does not split into exactly ``len(fields)`` tokens (ASCII
+      whitespace and ``\\x1c``-``\\x1f`` separate tokens);
+    * ``x-timestamp`` is not an integer in the int64 range;
+    * ``x-duration`` is not a float, or is not finite, or is ``2**63``
+      or more (negative too with ``trace=True``: a Trace holds none);
+    * ``cs-uri-stem`` is not ``/live/feed`` followed by an int64;
+    * ``avg-bandwidth`` is not a float;
+    * with ``trace=True``: ``packet-loss-rate`` or ``s-cpu-util`` is not
+      a float, or ``sc-status`` not an int64;
+    * ``fields`` lacks a field the columns need.
+
+    Numbers parse as Python's ``int``/``float`` parse them (``+5``,
+    ``1_0``, ``-0`` and, for floats, ``1e3``, ``nan`` and ``inf`` too).
+    Runs are tokenized with one ``bytes.split`` and one conversion per
+    column; only runs holding a blank, malformed or ``#`` line take the
+    per-line path.  Feed runs of at most about :data:`TOKENIZE_BYTES`
+    (:func:`split_log_block` cuts them so).
+    """
+    run = run.translate(_SEPARATORS)
+    if run and not run.endswith(b"\n"):
+        run += b"\n"
+    n_fields = len(fields)
+    uniform = _uniform_tokens(run, n_fields)
+    if uniform is not None:
+        flat, stride = uniform, n_fields + 1
+        line = np.arange(len(flat) // stride, dtype=np.int64)
+        skipped = np.empty(0, dtype=np.int64)
+    else:
+        flat, line, skipped = _ragged_tokens(run, n_fields)
+        stride = n_fields
+    column = {name: k for k, name in enumerate(fields)}
+    rules, strings = (_TRACE_RULES, _IDENTITY) if trace else (_RULES, _PLAYER)
+    bad = np.zeros(line.size, dtype=bool)
+    if any(field not in column for field in
+           [rule.field for rule in rules] + [field for field, _ in strings]):
+        bad[:] = True
+
+    def tokens(field: str) -> list[bytes]:
+        k = column.get(field)
+        return flat[k::stride] if k is not None else [b""] * line.size
+
+    values: dict[str, Any] = {rule.column: _parse_column(tokens(rule.field),
+                                                         rule, bad)
+                              for rule in rules}
+    values.update((name, tokens(field)) for field, name in strings)
+    if bad.any():
+        keep = ~bad
+        keep_list = keep.tolist()
+        values = {name: (list(compress(value, keep_list))
+                         if isinstance(value, list) else value[keep])
+                  for name, value in values.items()}
+        skipped = np.sort(np.concatenate([skipped, line[bad]]))
+        line = line[keep]
+    return WmsColumns(line=line, skipped=skipped, **values)
+
+
+def _uniform_tokens(run: bytes, n_fields: int) -> list[bytes] | None:
+    """All tokens of ``run`` with an :data:`_EOL` token closing each line,
+    if every line is an ASCII, non-``#`` line of ``n_fields`` tokens."""
+    if not run.isascii() or b"#" in run:
+        return None
+    n_lines = run.count(b"\n")
+    flat = run.replace(b"\n", b" \xff ").split()
+    stride = n_fields + 1
+    # The run holds no 0xff byte, so there are exactly n_lines markers;
+    # one at every stride position leaves n_fields tokens per line.
+    if (len(flat) != n_lines * stride
+            or flat[n_fields::stride].count(_EOL) != n_lines):
+        return None
+    return flat
+
+
+def _ragged_tokens(run: bytes, n_fields: int
+                   ) -> tuple[list[bytes], IntArray, IntArray]:
+    """The per-line path: tokens of the well-shaped data lines (stride
+    ``n_fields``), their line indices, and the misshapen lines'."""
+    rows: list[list[bytes]] = []
+    line: list[int] = []
+    skipped: list[int] = []
+    for k, text in enumerate(run.split(b"\n")[:-1]):
+        tokens = text.split()
+        if not tokens or tokens[0].startswith(b"#"):
+            continue
+        if len(tokens) == n_fields and text.isascii():
+            rows.append(tokens)
+            line.append(k)
+        else:
+            skipped.append(k)
+    return (list(chain.from_iterable(rows)),
+            np.asarray(line, dtype=np.int64),
+            np.asarray(skipped, dtype=np.int64))
+
+
+def _parse_column(tokens: list[bytes], rule: _Rule,
+                  bad: _AnyArray) -> _AnyArray:
+    """One column's values; rows whose token breaks ``rule`` are set in
+    ``bad`` (their value is a placeholder 0)."""
+    n = len(tokens)
+    try:
+        if rule.distinct:
+            memo = {token: rule.convert(token)
+                    for token in dict.fromkeys(tokens)}
+            values = np.fromiter(map(memo.__getitem__, tokens),
+                                 dtype=rule.dtype, count=n)
+        else:
+            values = np.fromiter(map(rule.convert, tokens),
+                                 dtype=rule.dtype, count=n)
+    except (ValueError, OverflowError):
+        values = np.zeros(n, dtype=rule.dtype)
+        for k, token in enumerate(tokens):
+            try:
+                values[k] = rule.convert(token)
+            except (ValueError, OverflowError):
+                bad[k] = True
+    if rule.valid is not None:
+        bad |= ~rule.valid(values)
+    return values
+
+
+def _malformed_reason(text: bytes, fields: Sequence[str]) -> str:
+    """Why :func:`tokenize_wms_lines` (``trace=True``) rejects a line."""
+    if not text.isascii():
+        return "undecodable bytes (non-ASCII) in entry"
+    tokens = text.translate(_SEPARATORS).split()
+    if len(tokens) != len(fields):
+        return f"expected {len(fields)} columns, got {len(tokens)}"
+    column = {name: k for k, name in enumerate(fields)}
+    for rule in _TRACE_RULES:
+        token = tokens[column[rule.field]]
+        try:
+            value = np.asarray(rule.convert(token), dtype=rule.dtype)
+        except (ValueError, OverflowError) as exc:
+            return f"{rule.field}: {exc}"
+        if rule.valid is not None and not rule.valid(value):
+            return (f"{rule.field} must be {rule.expect}, got "
+                    f"{token.decode('ascii')}")
+    raise AssertionError("line passes every rule")  # pragma: no cover
+
+
+def join_log_lines(lines: Sequence[str]) -> bytes:
+    """Encode text lines as one block the tokenizer reads, one line each.
+
+    Characters outside ASCII become bytes outside ASCII, so their lines
+    are malformed; a newline inside an item is whitespace.
+    """
+    if not lines:
+        return b""
+    block = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    if block.count(b"\n") != len(lines):
+        block = ("\n".join(line.replace("\n", " ") for line in lines)
+                 + "\n").encode("utf-8", "surrogatepass")
+    return block
+
+
+def _universal_newlines(blob: bytes) -> bytes:
+    """``\\r\\n`` and lone ``\\r`` as ``\\n``, as text-mode files read."""
+    if b"\r" in blob:
+        blob = blob.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return blob
+
+
+def iter_log_blocks(source: str | Path | bytes | TextIO | Iterable[str]
+                    ) -> Iterator[tuple[int, bytes]]:
+    """Read a log as ``(first line number, block)`` pairs of whole lines.
+
+    Paths are read in binary and raw ``bytes`` taken whole, both with
+    :func:`_universal_newlines`; text streams are read in blocks and
+    other iterables of lines in batches, each item one line.
+    """
+    if isinstance(source, bytes):
+        yield 1, _universal_newlines(source)
+    elif isinstance(source, (str, Path)):
+        with open(source, "rb") as stream:
+            yield from _read_blocks(stream.read, universal=True)
+    elif isinstance(source, io.TextIOBase):
+        yield from _read_blocks(source.read, universal=False)
+    else:
+        lines = iter(source)
+        number = 1
+        while batch := list(islice(lines, _LINE_BATCH)):
+            yield number, join_log_lines(batch)
+            number += len(batch)
+
+
+def _read_blocks(read: Callable[[int], str | bytes], *, universal: bool
+                 ) -> Iterator[tuple[int, bytes]]:
+    number = 1
+    carry = b""
+    while data := read(_READ_SIZE):
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
+        data = carry + data
+        cut = data.rfind(b"\n") + 1
+        if universal:
+            # A lone \r ends a line too; one in the last byte may be
+            # the first half of a \r\n split by the read.
+            cut = max(cut, data.rfind(b"\r", 0, len(data) - 1) + 1)
+        block, carry = data[:cut], data[cut:]
+        if block:
+            if universal:
+                block = _universal_newlines(block)
+            yield number, block
+            number += block.count(b"\n")
+    if carry:
+        yield number, _universal_newlines(carry) if universal else carry
+
+
+def split_log_block(block: bytes, first_line: int = 1
+                    ) -> Iterator[tuple[int, bytes, bool]]:
+    """Cut a block into directive lines and runs of data lines.
+
+    Yields ``(line number, piece, is_directive)``: each line whose first
+    non-whitespace byte is ``#`` alone and stripped, and the lines
+    between them in runs of at most about :data:`TOKENIZE_BYTES`, ready
+    for :func:`tokenize_wms_lines`.
+    """
+    if block and not block.endswith(b"\n"):
+        block += b"\n"
+    number, pos, end = first_line, 0, len(block)
+    while pos < end:
+        directive = _next_directive(block, pos)
+        while pos < directive:
+            cut = block.find(b"\n", min(pos + TOKENIZE_BYTES,
+                                        directive) - 1) + 1
+            yield number, block[pos:cut], False
+            number += block.count(b"\n", pos, cut)
+            pos = cut
+        if directive < end:
+            pos = block.find(b"\n", directive) + 1
+            yield number, block[directive:pos].strip(_WHITESPACE), True
+            number += 1
+
+
+def _next_directive(block: bytes, pos: int) -> int:
+    """Offset of the first ``#`` line at or after ``pos``, else the end."""
+    at = block.find(b"#", pos)
+    while at != -1:
+        newline = block.rfind(b"\n", pos, at)
+        start = newline + 1 if newline != -1 else pos
+        if not block[start:at].strip(_WHITESPACE):
+            return start
+        at = block.find(b"#", block.find(b"\n", at) + 1)
+    return len(block)
+
+
+def iter_wms_runs(source: str | Path | TextIO | Iterable[str]
+                  ) -> Iterator[tuple[int, bytes, list[str]]]:
+    """Yield ``(first line number, run, fields)`` for a log's data runs.
+
+    Follows every ``#Fields`` directive; other ``#`` lines are skipped.
+
+    Raises
+    ------
+    LogParseError
+        On a data line before the first ``#Fields`` header, or a header
+        missing a required field.
+    """
+    fields: list[str] | None = None
+    for first, block in iter_log_blocks(source):
+        for number, piece, directive in split_log_block(block, first):
+            if directive:
+                if piece.startswith(b"#Fields:"):
+                    fields = _parse_fields_header(
+                        piece.decode("ascii", "replace"), number)
+                continue
+            if fields is None:
+                for k, text in enumerate(piece.split(b"\n")):
+                    if text.strip(_WHITESPACE):
+                        raise LogParseError(
+                            "data before #Fields header",
+                            line_number=number + k,
+                            line=text.strip(_WHITESPACE).decode(
+                                "ascii", "replace"))
+                continue
+            yield number, piece, fields
+
+
+class _ClientInterner:
+    """Client table of a parsed log, interned by first appearance."""
+
+    def __init__(self, resolver: IpResolver | None) -> None:
+        self._resolver = resolver
+        self.index: dict[bytes, int] = {}
+        self._identity: list[tuple[bytes, bytes]] = []
+
+    def intern(self, player: list[bytes], ip: list[bytes],
+               os_name: list[bytes]) -> IntArray:
+        """Client index of every row.
+
+        Raises
+        ------
+        TraceError
+            At the first row whose player was first seen with another
+            IP or OS.
+        """
+        index, identity = self.index, self._identity
+        for key, ip_token, os_token in dict.fromkeys(zip(player, ip,
+                                                         os_name)):
+            known = index.get(key)
+            if known is None:
+                index[key] = len(identity)
+                identity.append((ip_token, os_token))
+            elif identity[known] != (ip_token, os_token):
+                raise TraceError(
+                    f"player {key.decode('ascii')!r} re-registered with "
+                    "different identity fields")
+        return np.fromiter(map(index.__getitem__, player), dtype=np.int64,
+                           count=len(player))
+
+    def table(self) -> ClientTable:
+        players = _decode(list(self.index))
+        ips = _decode([ip for ip, _ in self._identity])
+        places = [(0, "")] * len(ips)
+        if self._resolver is not None:
+            # ClientRecord validates what the resolver returns.
+            places = [(record.as_number, record.country) for record in (
+                ClientRecord(player_id=player, ip=ip, as_number=as_number,
+                             country=country)
+                for player, ip, (as_number, country)
+                in zip(players, ips, map(self._resolver, ips)))]
+        return ClientTable(
+            player_ids=players, ips=ips,
+            as_numbers=np.asarray([place[0] for place in places],
+                                  dtype=np.int64),
+            countries=[place[1] for place in places],
+            os_names=_decode([os_name for _, os_name in self._identity]))
+
+
+def _decode(tokens: list[bytes]) -> list[str]:
+    """ASCII tokens (which hold no newline) as strings, in one decode."""
+    return b"\n".join(tokens).decode("ascii").split("\n") if tokens else []
+
+
+def _line_errors(run: bytes, lines: IntArray, first_line: int,
+                 fields: Sequence[str]) -> Iterator[LogParseError]:
+    texts = run.split(b"\n")
+    for k in lines.tolist():
+        text = texts[k]
+        yield LogParseError(
+            _malformed_reason(text, fields), line_number=first_line + k,
+            line=text.strip(_WHITESPACE).decode("ascii", "replace"))
+
+
 def read_wms_log(path: str | Path | TextIO, *,
                  resolver: IpResolver | None = None,
                  extent: float | None = None,
@@ -339,18 +815,18 @@ def read_wms_log(path: str | Path | TextIO, *,
                  error_sink: list[LogParseError] | None = None) -> Trace:
     """Parse a WMS-style log back into a :class:`Trace`.
 
+    Lines are read in blocks through :func:`tokenize_wms_lines` (with
+    ``trace=True``), whose rule decides which lines are malformed.
+
     Parameters
     ----------
     path:
-        Log file path or open text stream.  Paths are opened with
-        ``errors="replace"`` so undecodable (non-ASCII) bytes surface as
-        per-line parse errors instead of aborting the whole read; pass an
-        open stream with the same error handling to get identical
-        behaviour for corrupt bytes.
+        Log file path or open text stream.  Undecodable (non-ASCII)
+        bytes make their line malformed instead of aborting the read.
     resolver:
         Optional ``ip -> (as_number, country)`` mapping standing in for the
         external IP-to-AS traceback the paper performed; unresolved clients
-        get AS 0 and an empty country.
+        get AS 0 and an empty country.  Called once per client.
     extent:
         Observation-window length override.  When omitted, the latest entry
         timestamp is used.
@@ -368,78 +844,46 @@ def read_wms_log(path: str | Path | TextIO, *,
     LogParseError
         On malformed lines (``on_error="raise"``) or a missing/incomplete
         ``#Fields`` header.
+    TraceError
+        If a player reappears with another IP or OS.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    own = isinstance(path, (str, Path))
-    stream: TextIO = (open(path, "r", encoding="ascii", errors="replace")
-                      if isinstance(path, (str, Path)) else path)
-    try:
-        builder = TraceBuilder()
-        fields: list[str] | None = None
-        for number, line in iter_log_lines(stream):
-            if line.startswith("#"):
-                if line.startswith("#Fields:"):
-                    fields = _parse_fields_header(line, number)
-                continue
-            if fields is None:
-                raise LogParseError("data before #Fields header",
-                                    line_number=number, line=line)
-            try:
-                if _REPLACEMENT in line:
-                    raise LogParseError(
-                        "undecodable bytes (non-ASCII) in entry",
-                        line_number=number, line=line)
-                parts = line.split()
-                if len(parts) != len(fields):
-                    raise LogParseError(
-                        f"expected {len(fields)} columns, got {len(parts)}",
-                        line_number=number, line=line)
-                row = dict(zip(fields, parts, strict=True))
-                try:
-                    timestamp = int(row["x-timestamp"])
-                    duration = float(row["x-duration"])
-                    uri = row["cs-uri-stem"]
-                    if not uri.startswith(_URI_PREFIX):
-                        raise ValueError(f"unexpected URI stem {uri!r}")
-                    object_id = int(uri[len(_URI_PREFIX):])
-                    bandwidth = float(row["avg-bandwidth"])
-                    loss = float(row["packet-loss-rate"])
-                    cpu = float(row["s-cpu-util"])
-                    status = int(row["sc-status"])
-                except (KeyError, ValueError) as exc:
-                    raise LogParseError(str(exc), line_number=number,
-                                        line=line) from exc
-            except LogParseError as exc:
-                if on_error == "skip":
-                    if error_sink is not None:
-                        error_sink.append(exc)
-                    continue
-                raise
-            ip = row["c-ip"]
-            as_number, country = (resolver(ip) if resolver is not None
-                                  else (0, ""))
-            client_idx = builder.add_client(ClientRecord(
-                player_id=row["c-playerid"],
-                ip=ip,
-                as_number=as_number,
-                country=country,
-                os_name=row["c-os"],
-            ))
-            builder.add_transfer(
-                client_index=client_idx,
-                object_id=object_id,
-                start=float(timestamp) - duration,
-                duration=duration,
-                bandwidth_bps=bandwidth,
-                packet_loss=loss,
-                server_cpu=cpu,
-                status=status,
-            )
-        return builder.build(extent=extent)
-    finally:
-        if own:
-            stream.close()
+    clients = _ClientInterner(resolver)
+    parts: list[tuple[WmsColumns, IntArray]] = []
+    for number, run, fields in iter_wms_runs(path):
+        tokens = tokenize_wms_lines(run, fields, trace=True)
+        assert tokens.ip is not None and tokens.os_name is not None
+        if tokens.n_skipped and on_error == "raise":
+            # Rows before the first bad line register first: a clash
+            # among them is the earlier error.
+            head = int(np.searchsorted(tokens.line, tokens.skipped[0]))
+            clients.intern(tokens.player[:head], tokens.ip[:head],
+                           tokens.os_name[:head])
+            raise next(_line_errors(run, tokens.skipped[:1], number, fields))
+        parts.append((tokens, clients.intern(tokens.player, tokens.ip,
+                                             tokens.os_name)))
+        if error_sink is not None:
+            error_sink.extend(_line_errors(run, tokens.skipped, number,
+                                           fields))
+
+    def column(name: str, dtype: type) -> _AnyArray:
+        return np.concatenate([np.empty(0, dtype=dtype)]
+                              + [getattr(tokens, name) for tokens, _ in parts])
+
+    duration = column("duration", np.float64)
+    return Trace(
+        clients=clients.table(),
+        client_index=np.concatenate([np.empty(0, dtype=np.int64)]
+                                    + [client for _, client in parts]),
+        object_id=column("object_id", np.int64),
+        start=column("timestamp", np.int64).astype(np.float64) - duration,
+        duration=duration,
+        bandwidth_bps=column("bandwidth_bps", np.float64),
+        packet_loss=column("packet_loss", np.float64),
+        server_cpu=column("server_cpu", np.float64),
+        status=column("status", np.int64),
+        extent=extent)
 
 
 def log_round_trip(trace: Trace, *, resolver: IpResolver | None = None) -> Trace:

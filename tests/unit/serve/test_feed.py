@@ -285,6 +285,47 @@ def test_bad_batch_is_counted_not_fatal():
     asyncio.run(scenario())
 
 
+
+def test_non_finite_duration_is_a_skipped_line_not_a_dead_feed(logs):
+    """A ``nan``/``inf`` duration is malformed for the characterizer and
+    the sessionizer alike; the consumer loop keeps going."""
+    text_path, _ = logs
+    with open(text_path, "r", encoding="utf-8") as stream:
+        lines = [line.rstrip("\n") for line in stream]
+    header = [line for line in lines if line.startswith("#")]
+    data = [line for line in lines if line and not line.startswith("#")]
+    poisoned = []
+    for bad in ("nan", "inf"):
+        parts = data[0].split()
+        parts[LOG_FIELDS.index("x-duration")] = bad
+        poisoned.append(" ".join(parts))
+
+    async def scenario():
+        worker = FeedWorker("feed0", timeout=TIMEOUT, keep_sessions=True)
+        task = asyncio.ensure_future(worker.run())
+        assert worker.offer_lines(header + data[:50] + poisoned)
+        assert worker.offer_lines(data[50:])
+        # A dead consumer would leave the queue undrained forever.
+        await asyncio.wait_for(worker.drain(), timeout=60)
+        await worker.shutdown()
+        await task
+        return worker
+
+    worker = asyncio.run(scenario())
+    assert worker.feed_errors == 0 and worker.last_error is None
+    summary = worker.characterizer.summary()
+    assert summary.n_skipped == 2
+    assert summary.n_entries == worker.entries_ingested == len(data)
+    sessions = worker.finish()
+    assert int(sessions.n_transfers.sum()) + worker.late_drops == len(data)
+    reference = StreamingCharacterizer()
+    reference.consume_lines(data, list(LOG_FIELDS))
+    clean = reference.state_dict()
+    live = worker.characterizer.state_dict()
+    assert live.pop("n_skipped") == clean.pop("n_skipped") + 2
+    assert live == clean
+
+
 # ----------------------------------------------------------------------
 # Lateness
 # ----------------------------------------------------------------------
